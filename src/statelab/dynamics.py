@@ -427,18 +427,24 @@ def anticommutator_identity_check(psi: StateVector, observable: str,
     return abs(lhs - rhs)
 
 
-def constrained_motion_check(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
-                             grid: Grid, t_final: float, dt: float = 1e-3,
-                             n_records: int = 64):
-    """Max deviation of the packet's (<x>, <p>) from the Newtonian trajectory
-    started at the same phase-space point.  Exact up to solver error for
-    potentials at most quadratic."""
+def _paired_trajectories(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
+                         grid: Grid, t_final: float, dt: float, n_records: int):
+    """The packet's recorded (t, <x>, <p>) and the leapfrog trajectory started
+    at the same phase-space point, sampled at the record times."""
     psi = realize(q0, grid, hbar=phys.hbar)
     t, xs, ps, _ = wavepacket_trajectory(psi, V, phys, t_final, dt, n_records)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
     _, aa, pp = newton_integrate(q0.a, q0.p, V, phys, t_final, dt_eff, grid)
     idx = np.rint(t / dt_eff).astype(int)
-    dev_x = float(np.max(np.abs(xs - aa[idx])))
-    dev_p = float(np.max(np.abs(ps - pp[idx])))
-    return dev_x, dev_p
+    return t, xs, ps, aa[idx], pp[idx]
+
+
+def constrained_motion_check(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
+                             grid: Grid, t_final: float, dt: float = 1e-3,
+                             n_records: int = 64):
+    """Max deviation of the packet's (<x>, <p>) from the Newtonian trajectory
+    started at the same phase-space point.  Exact up to solver error for
+    potentials at most quadratic."""
+    _, xs, ps, xn, pn = _paired_trajectories(q0, V, phys, grid, t_final, dt, n_records)
+    return float(np.max(np.abs(xs - xn))), float(np.max(np.abs(ps - pn)))

@@ -105,25 +105,6 @@ def build_operators(n: int, phys: PhysicsParams, v_coeffs: Sequence[float],
     return OperatorTriple(n=n, buffer=int(buffer), X=X, P=P, F=F, v_coeffs=tuple(coeffs))
 
 
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of n x n Hermitian matrices, n^2 of them."""
-    mats = np.zeros((n * n, n, n), dtype=complex)
-    m = 0
-    for j in range(n):
-        mats[m, j, j] = 1.0
-        m += 1
-    r = 1.0 / np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            mats[m, j, k] = r
-            mats[m, k, j] = r
-            m += 1
-            mats[m, j, k] = -1j * r
-            mats[m, k, j] = 1j * r
-            m += 1
-    return mats
-
-
 def reference_hamiltonian(ops: OperatorTriple, phys: PhysicsParams) -> np.ndarray:
     return ops.P @ ops.P / (2.0 * phys.mass) + matrix_polynomial(ops.v_coeffs, ops.X)
 
@@ -136,40 +117,90 @@ def constraint_residuals(ops: OperatorTriple, H: np.ndarray, phys: PhysicsParams
     return (float(np.linalg.norm(res_x[:r, :r])), float(np.linalg.norm(res_p[:r, :r])))
 
 
+def _constraint_operator(ops: OperatorTriple, s: int):
+    """Sparse real matrix taking coefficients of a Hermitian H supported on
+    the leading s x s block to the real, then the imaginary, parts of
+    i[H, X] and i[H, P] on the trusted r x r block (row-major, X rows
+    first); returned with the map T from those coefficients to row-major
+    vec(H).
+
+    The columns of T are orthonormal in the Frobenius inner product: E_jj,
+    then (E_jk + E_kj)/sqrt(2) and i(E_kj - E_jk)/sqrt(2) for each j < k.
+    """
+    # imported here, like lsmr in solve_hamiltonian, so that importing
+    # statelab, which every CLI run pays for, does not load scipy.sparse
+    import scipy.sparse as sp
+
+    r = ops.interior
+    j, k = np.triu_indices(s, 1)
+    diag = np.arange(s)
+    pair = s + 2 * np.arange(len(j))
+    h = np.sqrt(0.5)
+    T = sp.csr_array(
+        (np.concatenate([np.ones(s), np.full(2 * len(j), h),
+                         np.full(len(j), -1j * h), np.full(len(j), 1j * h)]),
+         (np.concatenate([diag * (s + 1), j * s + k, k * s + j, j * s + k, k * s + j]),
+          np.concatenate([diag, pair, pair, pair + 1, pair + 1]))),
+        shape=(s * s, s * s))
+
+    # entry (i, j) of i[H, Y] is i sum_k (H_ik Y_kj - Y_ik H_kj); one triplet
+    # per nonzero of Y and free index, duplicates summed by the CSR build
+    rows, cols, vals = [], [], []
+    free = np.arange(r)[:, None]
+    for m, Y in enumerate((ops.X[:s, :s], ops.P[:s, :s])):
+        kk, jj = np.nonzero(Y[:, :r])
+        rows.append(m * r * r + free * r + jj)
+        cols.append(free * s + kk)
+        vals.append(np.broadcast_to(1j * Y[kk, jj], rows[-1].shape))
+        ii, kk = np.nonzero(Y[:r, :])
+        rows.append(m * r * r + ii * r + free)
+        cols.append(kk * s + free)
+        vals.append(np.broadcast_to(-1j * Y[ii, kk], rows[-1].shape))
+    L = sp.csr_array((np.concatenate([v.ravel() for v in vals]),
+                      (np.concatenate([a.ravel() for a in rows]),
+                       np.concatenate([a.ravel() for a in cols]))),
+                     shape=(2 * r * r, s * s))
+    C = L @ T
+    return sp.vstack([C.real, C.imag], format="csr"), T
+
+
 def solve_hamiltonian(ops: OperatorTriple, phys: PhysicsParams) -> ReconstructionResult:
     """Least-squares solve of the commutator constraints for Hermitian H.
 
     The residual norms run over constraint entries in the trusted leading
     block (the full-matrix objective is dominated by the O(N) truncation
     inconsistency at the corner and would smear it over the whole solution).
-    The solution's null freedom consists of the identity plus projectors onto
-    the untrusted top basis states; the additive constant is fixed by
+    Those entries reach H only on a leading s x s block, s = r + 1 for the
+    tridiagonal ladder X and P, so H is parameterized there alone and every
+    other entry is zero, as in the minimum-norm solution over all of H.  The
+    sparse system is solved by LSMR from zero, which converges to that
+    minimum-norm solution.  The null freedom on the block is the identity
+    and the projector onto state r; the additive constant is fixed by
     matching the interior trace of p^2/2m + V(x).
     """
+    from scipy.sparse.linalg import lsmr
+
     n, r = ops.n, ops.interior
-    basis = hermitian_basis(n)
-    C1 = 1j * (np.einsum("bij,jk->bik", basis, ops.X)
-               - np.einsum("ij,bjk->bik", ops.X, basis))
-    C2 = 1j * (np.einsum("bij,jk->bik", basis, ops.P)
-               - np.einsum("ij,bjk->bik", ops.P, basis))
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:r, :r] = True
-    A = np.concatenate([C1[:, mask].real, C1[:, mask].imag,
-                        C2[:, mask].real, C2[:, mask].imag], axis=1).T
-    R1 = phys.hbar * ops.P / phys.mass
-    R2 = phys.hbar * ops.F
-    b = np.concatenate([R1[mask].real, R1[mask].imag, R2[mask].real, R2[mask].imag])
-
-    coef, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    # entries beyond the (r+1) block never enter the masked constraints; the
-    # only reachable null directions are the identity and top-state projectors
-    expected_null = n * n - (r + 1) ** 2 + 2
-    if A.shape[1] - rank != expected_null:
+    dim = kernel_of_constraints(ops)
+    if dim != 1:
         raise NumericalBreakdownError(
-            f"singular normal equations: null dimension {A.shape[1] - rank}, "
-            f"expected {expected_null} (degenerate X, P pair?)")
+            f"constraint null space has dimension {dim}, expected 1 "
+            "(degenerate X, P pair?)")
+    # H_ab enters the trusted block through Y[b, :r] (a < r) or Y[a, :r]
+    # (b < r) for Y in {X, P}
+    reached = np.any(ops.X[:, :r] != 0, axis=1) | np.any(ops.P[:, :r] != 0, axis=1)
+    s = max(r, int(np.flatnonzero(reached).max()) + 1)
+    A, T = _constraint_operator(ops, s)
+    R = np.concatenate([(phys.hbar / phys.mass) * ops.P[:r, :r].ravel(),
+                        phys.hbar * ops.F[:r, :r].ravel()])
+    # atol = btol = 0 iterates to machine precision (istop 4 or 5)
+    coef, istop, itn = lsmr(A, np.concatenate([R.real, R.imag]), atol=0.0, btol=0.0)[:3]
+    if istop in (3, 6, 7):
+        raise NumericalBreakdownError(
+            f"LSMR did not converge (istop {istop} after {itn} iterations)")
 
-    H = np.einsum("b,bij->ij", coef, basis)
+    H = np.zeros((n, n), dtype=complex)
+    H[:s, :s] = (T @ coef).reshape(s, s)
     href = reference_hamiltonian(ops, phys)
     shift = (np.trace(href[:r, :r]).real - np.trace(H[:r, :r]).real) / r
     H = H + shift * np.eye(n)
@@ -190,7 +221,8 @@ def kernel_of_constraints(ops: OperatorTriple, tol: float = 1e-10) -> int:
 
     Computed in two stages: matrices commuting with X form the functions of X
     (X has simple spectrum), and the surviving [., P] = 0 condition is an SVD
-    on that small commutant.
+    on that small commutant, taken in X's eigenbasis, where the commutator
+    of the j-th eigenprojector with P is P's j-th row minus its j-th column.
     """
     r = ops.interior
     X = ops.X[:r, :r]
@@ -198,13 +230,13 @@ def kernel_of_constraints(ops: OperatorTriple, tol: float = 1e-10) -> int:
     evals, U = np.linalg.eigh(X)
     if np.min(np.diff(evals)) <= 1e-12 * (evals[-1] - evals[0]):
         raise NumericalBreakdownError("X has a (near-)degenerate spectrum")
-    cols = []
-    for j in range(r):
-        h = np.outer(U[:, j], U[:, j].conj())
-        c = h @ P - P @ h
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    s = np.linalg.svd(np.array(cols).T, compute_uv=False)
-    return int(np.sum(s < tol * s.max()))
+    Pe = U.conj().T @ P @ U
+    eye = np.eye(r)
+    # C[a, b, j] = (E_jj Pe - Pe E_jj)_ab = (delta_aj - delta_bj) Pe_ab
+    C = (eye[:, None, :] - eye[None, :, :]) * Pe[:, :, None]
+    C = C.reshape(r * r, r)
+    s = np.linalg.svd(np.concatenate([C.real, C.imag]), compute_uv=False)
+    return int(np.sum(s <= tol * s.max()))   # all r when P vanishes on the block
 
 
 def evolve_expectation(H: np.ndarray, alpha: complex, phys: PhysicsParams,

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from statelab.cli import (
-    DEFAULT_CONFIG, ExperimentConfig, ValidationError, load_config, main,
+    DEFAULT_CONFIG, ExperimentConfig, ValidationError, _fit_horizon, load_config, main,
 )
+from statelab.dynamics import PotentialSpec, newton_integrate, packet_width_bound
+from statelab.geometry import GaussianParams
 
 
 def run(tmp_path, *argv):
@@ -96,3 +99,50 @@ def test_report_overall_flag_is_conjunction(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["overall_pass"] == all(c["pass"] for c in report["checks"])
     assert code == (0 if report["overall_pass"] else 1)
+
+
+def test_non_periodic_grid_exits_two(tmp_path):
+    cfgp = write_config(tmp_path, {"grid": {"periodic": False}})
+    code, _ = run(tmp_path, "geometry-identities", "--config", cfgp)
+    assert code == 2
+
+
+@pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-1"])
+def test_bad_thread_count_exits_two(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("STATELAB_THREADS", threads)
+    code, out = run(tmp_path, "all")
+    assert code == 2
+    assert not (out / "report.json").exists()
+
+
+def test_dynamics_checks_exit_zero(tmp_path):
+    code, out = run(tmp_path, "dynamics-checks")
+    assert code == 0
+    assert (out / "trajectory.csv").exists()
+
+
+def test_horizon_stops_short_of_the_seam(tmp_path):
+    # a constant force carries the packet, spreading freely, toward x_min
+    cfgp = write_config(tmp_path, {
+        "potential": {"kind": "linear", "slope": 1.0},
+        "units": {"potential.slope": "energy/length"}})
+    cfg = load_config(cfgp, {})
+    sigma = cfg.kernel.sigma
+    q0 = GaussianParams(1.0, 0.0, sigma)
+    horizon = _fit_horizon(q0, cfg.potential, cfg.physics, cfg.grid, sigma, 2.0 * np.pi)
+    assert 0.0 < horizon < 2.0 * np.pi
+    # the packet's leading edge at the horizon is still inside the cell
+    _, a, _ = newton_integrate(q0.a, q0.p, cfg.potential, cfg.physics, horizon, 1e-3)
+    assert a[-1] - 6.0 * packet_width_bound(horizon, sigma, cfg.potential, cfg.physics) \
+        > cfg.grid.x_min
+
+    code, out = run(tmp_path, "dynamics-checks", "--config", cfgp)
+    assert code == 0
+    last_t = float((out / "trajectory.csv").read_text().splitlines()[-1].split(",")[0])
+    assert last_t == pytest.approx(horizon)
+
+
+def test_horizon_rejects_a_packet_on_the_seam(grid, phys):
+    q0 = GaussianParams(grid.x_max - 0.5, 0.0, 0.5)
+    with pytest.raises(ValidationError):
+        _fit_horizon(q0, PotentialSpec.free(), phys, grid, 0.5, 2.0 * np.pi)

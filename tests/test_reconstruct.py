@@ -90,6 +90,16 @@ def test_solve_detects_degenerate_pair(phys):
         solve_hamiltonian(degenerate, phys)
 
 
+def test_solve_detects_vanishing_momentum(phys):
+    # X alone leaves every function of X in the kernel: dimension r, not 1
+    ops = build_operators(16, phys, [0.0])
+    no_p = OperatorTriple(n=16, buffer=4, X=ops.X, P=np.zeros((16, 16), complex),
+                          F=ops.F, v_coeffs=(0.0,))
+    assert kernel_of_constraints(no_p) == 12
+    with pytest.raises(NumericalBreakdownError):
+        solve_hamiltonian(no_p, phys)
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_kernel_of_constraints_dimension(phys, n):
     ops = build_operators(n, phys, [0.0, 0.0, 0.5])
@@ -129,3 +139,24 @@ def test_reference_hamiltonian_is_hermitian(phys):
     ops = build_operators(32, phys, [0.1, 0.2, 0.3, 0.0, 0.01])
     href = reference_hamiltonian(ops, phys)
     assert np.abs(href - href.conj().T).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("coeffs", [
+    [0.0],                          # free
+    [0.0, 0.7],                     # linear
+    [0.0, 0.0, 0.5],                # harmonic
+    [0.0, 0.3, 0.0, 0.1],           # cubic
+    [0.1, 0.2, 0.3, 0.0, 0.01],     # quartic
+])
+def test_solve_block_error_at_round_off(phys, n, coeffs):
+    res = solve_hamiltonian(build_operators(n, phys, coeffs), phys)
+    assert res.block_error < 1e-12
+
+
+def test_solve_reports_nonconvergence(phys, monkeypatch):
+    import scipy.sparse.linalg as sla
+    lsmr = sla.lsmr
+    monkeypatch.setattr(sla, "lsmr", lambda A, b, **kw: lsmr(A, b, **{**kw, "maxiter": 1}))
+    with pytest.raises(NumericalBreakdownError):
+        solve_hamiltonian(build_operators(32, phys, [0.0, 0.0, 0.5]), phys)
