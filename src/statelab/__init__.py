@@ -6,7 +6,7 @@ from .numerics import (
 )
 from .geometry import (
     GaussianParams, KernelSpace, PhaseSpacePoint,
-    completeness_rank, delta_path_projection, embed_phase_point, embed_point,
+    completeness_rank, delta_path_projection, embed_point,
     fs_distance, fs_metric_restriction_check, gram_matrix, grid_delta,
     h_norm_velocity, kernel_inner, realize, spread_direction, tangent_basis,
 )

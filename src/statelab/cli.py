@@ -10,6 +10,7 @@ tables.  Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,6 +70,7 @@ DEFAULT_CONFIG = {
 }
 
 _TOP_KEYS = set(DEFAULT_CONFIG)
+_TRAJECTORY_DT = 1e-3   # time step of the trajectory checks
 
 
 def _validate_units(cfg: dict) -> None:
@@ -150,6 +152,15 @@ class ExperimentConfig:
         self.kernel = KernelSpace(self.grid, sigma)
         self.seed = int(merged["seed"])
         self.potential = _potential_from_config(merged["potential"], self.seed)
+        # start packet of the trajectory checks, which must pass the
+        # propagator's step guard under the configured potential
+        self.q0 = GaussianParams(1.0, 0.0, sigma)
+        try:
+            dyn._validate_step(geo.realize(self.q0, self.grid, hbar=self.physics.hbar),
+                               self.potential, self.physics, _TRAJECTORY_DT)
+        except ValueError as exc:
+            raise ValidationError(
+                f"trajectory checks at dt = {_TRAJECTORY_DT:g}: {exc}") from exc
         d = merged["diffusion"]
         try:
             self.diffusion = diff.DiffusionConfig(
@@ -225,8 +236,8 @@ def _fit_horizon(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams, grid
                  sigma: float, t_max: float) -> float:
     """Largest t <= t_max up to which the Newtonian trajectory from q0, widened
     by _SEAM_WIDTHS packet widths (dynamics.packet_width_bound), stays inside
-    the periodic cell, on the 1e-3 step the trajectory checks use."""
-    t, a, _ = dyn.newton_integrate(q0.a, q0.p, V, phys, t_max, 1e-3, grid)
+    the periodic cell, on the step the trajectory checks use."""
+    t, a, _ = dyn.newton_integrate(q0.a, q0.p, V, phys, t_max, _TRAJECTORY_DT, grid)
     reach = _SEAM_WIDTHS * dyn.packet_width_bound(t, sigma, V, phys)
     clear = (a - reach > grid.x_min) & (a + reach < grid.x_max)
     if clear.all():
@@ -361,7 +372,8 @@ def run_dynamics(cfg: ExperimentConfig, out: Path) -> Report:
     rep.add(check_abs("free-packet-total-norm-sq", d.total_norm ** 2, 2.5, 1e-3))
 
     # Ehrenfest residuals
-    psi_h = geo.realize(GaussianParams(1.0, 0.0, sigma), grid, hbar=hbar)
+    q0 = cfg.q0
+    psi_h = geo.realize(q0, grid, hbar=hbar)
     r1, r2 = dyn.ehrenfest_check(psi_h, PotentialSpec.harmonic(1.0), phys, dt=1e-3)
     rep.add(check_upper("ehrenfest-harmonic-residual-x", r1, 1e-5))
     rep.add(check_upper("ehrenfest-harmonic-residual-p", r2, 1e-5))
@@ -387,20 +399,25 @@ def run_dynamics(cfg: ExperimentConfig, out: Path) -> Report:
                         dyn.anticommutator_identity_check(psi_r, "identity", Vh, phys), 1e-8))
 
     # constrained classical motion: canonical harmonic case over one period,
-    # then the configured potential over a horizon the packet actually fits
-    q0 = GaussianParams(1.0, 0.0, sigma)
-    dev_x, dev_p = dyn.constrained_motion_check(q0, PotentialSpec.harmonic(1.0),
-                                                phys, grid, t_final=2.0 * np.pi, dt=1e-3)
+    # then the configured potential over a horizon the packet actually fits.
+    # Each distinct (start, potential, horizon) is propagated once per run; on
+    # the default config the configured trajectory is the canonical one.
+    @functools.cache
+    def paired(q, V, t_final):
+        return dyn._paired_trajectories(q, V, phys, grid, t_final, _TRAJECTORY_DT, 64)
+
+    def max_dev(q, V, t_final):
+        _, xs, ps, xn, pn = paired(q, V, t_final)
+        return float(np.max(np.abs(xs - xn))), float(np.max(np.abs(ps - pn)))
+
+    dev_x, dev_p = max_dev(q0, PotentialSpec.harmonic(1.0), 2.0 * np.pi)
     rep.add(check_upper("constrained-motion-harmonic-max-dev-x", dev_x, 1e-4))
     rep.add(check_upper("constrained-motion-harmonic-max-dev-p", dev_p, 1e-4))
-    devf_x, _ = dyn.constrained_motion_check(GaussianParams(0.0, 1.0, sigma),
-                                             PotentialSpec.free(), phys, grid,
-                                             t_final=1.0, dt=1e-3)
+    devf_x, _ = max_dev(GaussianParams(0.0, 1.0, sigma), PotentialSpec.free(), 1.0)
     rep.add(check_upper("constrained-motion-free-max-dev-x", devf_x, 1e-6))
 
     horizon = _fit_horizon(q0, cfg.potential, phys, grid, sigma, t_max=2.0 * np.pi)
-    t, xs, ps, xn, pn = dyn._paired_trajectories(q0, cfg.potential, phys, grid,
-                                                 horizon, 1e-3, 64)
+    t, xs, ps, xn, pn = paired(q0, cfg.potential, horizon)
     rep.add(check_upper("constrained-motion-config-max-dev-x",
                         float(np.max(np.abs(xs - xn))), 1e-4,
                         note=f"configured potential over t={horizon:.3g}"))
@@ -428,25 +445,26 @@ def run_reconstruct(cfg: ExperimentConfig, out: Path) -> Report:
     rep = Report("reconstruct", cfg.echo)
     phys = cfg.physics
     rows = []
-    for name, coeffs in [("free", [0.0]), ("linear", [0.0, 0.7]),
-                         ("harmonic", [0.0, 0.0, 0.5])]:
-        ops = rec.build_operators(32, phys, coeffs)
+    pots = {"free": PotentialSpec.free(), "linear": PotentialSpec.linear(0.7),
+            "harmonic": PotentialSpec.harmonic(1.0)}
+    for name, V in pots.items():
+        ops = rec.build_operators(32, phys, V.coeffs)
         res = rec.solve_hamiltonian(ops, phys)
         rep.add(check_upper(f"block-error-{name}", res.block_error, 1e-6))
         rep.add(check_upper(f"gauge-constant-{name}", abs(res.gauge_constant), 1e-6))
         rows.append((name, 32, res.interior, res.block_error, res.residual_x,
                      res.residual_p, res.gauge_constant))
     for n in (16, 32, 64):
-        ops = rec.build_operators(n, phys, [0.0, 0.0, 0.5])
+        ops = rec.build_operators(n, phys, pots["harmonic"].coeffs)
         dim = rec.kernel_of_constraints(ops)
         rep.add(check_abs(f"constraint-kernel-dimension-n{n}", dim, 1.0, 0.0))
 
-    ops = rec.build_operators(32, phys, [0.0])
+    ops = rec.build_operators(32, phys, pots["free"].coeffs)
     rng = cfg.stream(21).generator()
     gmat = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     fbad = (gmat + gmat.conj().T) / 2.0
     bad_ops = rec.OperatorTriple(n=32, buffer=4, X=ops.X, P=ops.P, F=fbad,
-                                 v_coeffs=(0.0,))
+                                 v_coeffs=ops.v_coeffs)
     res_bad = rec.solve_hamiltonian(bad_ops, phys)
     ratio = res_bad.residual_p / np.linalg.norm(fbad)
     rep.add(CheckRecord("null-test-inconsistent-force", float(ratio), 1e-2, 1e-2,

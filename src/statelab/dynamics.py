@@ -9,10 +9,12 @@ squared components sum to the squared speed of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from .numerics import Grid, RngStream, StateVector, inner_l2, quadrature, spectral_derivative
 from .geometry import GaussianParams, realize, tangent_basis, spread_direction
@@ -28,122 +30,100 @@ class PhysicsParams:
             raise ValueError("hbar and mass must be strictly positive")
 
 
-@dataclass(frozen=True, eq=False)
+def _polynomial(coeffs, u):
+    """sum_k coeffs[k] u^k over the nonzero terms; each term is formed as
+    c * u^k, so a one-term V costs what its closed form costs."""
+    out = None
+    for k, c in enumerate(coeffs):
+        if c:
+            term = np.full_like(u, c) if k == 0 else c * u if k == 1 else c * u ** k
+            out = term if out is None else out + term
+    return np.zeros_like(u) if out is None else out
+
+
+@dataclass(frozen=True)
 class PotentialSpec:
     """Potential V(x), optionally with reproducible per-step noise.
 
-    kind is one of "free", "linear", "harmonic", "tabulated", "noisy".
-    A noisy potential adds a random linear slope, redrawn each propagation
-    step from its RngStream, so stochastic runs stay piecewise-unitary and
-    bit-reproducible.
+    V is the polynomial sum_k coeffs[k] (x - center)^k or, when samples is
+    given, the tabulated grid values (coeffs and center are then unused).
+    Potentials compare and hash by value: trailing zero coefficients are
+    dropped and samples are held as a tuple.  With a noise stream, a random
+    linear slope of standard deviation noise_std is added, redrawn each
+    propagation step from the stream, so stochastic runs stay
+    piecewise-unitary and bit-reproducible.
     """
 
-    kind: str
-    slope: float = 0.0
-    stiffness: float = 0.0
+    coeffs: tuple = (0.0,)
     center: float = 0.0
-    samples: Optional[np.ndarray] = None
-    base: Optional["PotentialSpec"] = None
+    samples: Optional[tuple] = None
     noise_std: float = 0.0
     noise_stream: Optional[RngStream] = None
 
+    def __post_init__(self):
+        coeffs = [float(c) for c in self.coeffs] or [0.0]
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        if self.noise_std and self.noise_stream is None:
+            raise ValueError("noisy potential without an RngStream")
+
     @classmethod
     def free(cls) -> "PotentialSpec":
-        return cls("free")
+        return cls()
 
     @classmethod
     def linear(cls, slope: float) -> "PotentialSpec":
-        return cls("linear", slope=float(slope))
+        return cls((0.0, slope))
 
     @classmethod
     def harmonic(cls, stiffness: float, center: float = 0.0) -> "PotentialSpec":
-        return cls("harmonic", stiffness=float(stiffness), center=float(center))
+        return cls((0.0, 0.0, 0.5 * float(stiffness)), float(center))
 
     @classmethod
     def tabulated(cls, samples: np.ndarray) -> "PotentialSpec":
-        return cls("tabulated", samples=np.asarray(samples, dtype=float))
+        return cls(samples=tuple(np.asarray(samples, dtype=float).tolist()))
 
     @classmethod
     def noisy(cls, base: "PotentialSpec", noise_std: float, stream: RngStream) -> "PotentialSpec":
-        if base.kind == "noisy":
+        if base.noise_stream is not None:
             raise ValueError("noisy potentials cannot be nested")
-        return cls("noisy", base=base, noise_std=float(noise_std), noise_stream=stream)
+        return replace(base, noise_std=float(noise_std), noise_stream=stream)
 
-    def values(self, grid: Grid) -> np.ndarray:
-        """Static part of V sampled on the grid (noise excluded)."""
-        x = grid.x
-        if self.kind == "free":
-            return np.zeros(grid.n_points)
-        if self.kind == "linear":
-            return self.slope * x
-        if self.kind == "harmonic":
-            return 0.5 * self.stiffness * (x - self.center) ** 2
-        if self.kind == "tabulated":
-            if self.samples is None or len(self.samples) != grid.n_points:
-                raise ValueError("tabulated potential does not match the grid")
-            v = np.asarray(self.samples, dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise ValueError("tabulated potential has non-finite samples")
-            return v
-        if self.kind == "noisy":
-            return self.base.values(grid)
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+    @cached_property
+    def _derivatives(self) -> tuple:
+        """Coefficients of V, V' and V'', built once per potential."""
+        d1 = polyder(self.coeffs)
+        return self.coeffs, tuple(d1.tolist()), tuple(polyder(d1).tolist())
 
-    def derivative(self, grid: Grid) -> np.ndarray:
-        if self.kind == "tabulated":
-            return spectral_derivative(StateVector(grid, self.values(grid))).values.real
-        if self.kind == "noisy":
-            return self.base.derivative(grid)
-        x = grid.x
-        if self.kind == "free":
-            return np.zeros(grid.n_points)
-        if self.kind == "linear":
-            return np.full(grid.n_points, self.slope)
-        return self.stiffness * (x - self.center)
+    def values(self, grid: Grid, order: int = 0) -> np.ndarray:
+        """Static part of V (noise excluded), or its derivative of order 1
+        or 2, sampled on the grid; tabulated samples are differentiated
+        spectrally."""
+        if self.samples is None:
+            return _polynomial(self._derivatives[order], grid.x - self.center)
+        if len(self.samples) != grid.n_points:
+            raise ValueError("tabulated potential does not match the grid")
+        v = np.array(self.samples)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("tabulated potential has non-finite samples")
+        if order:
+            return spectral_derivative(StateVector(grid, v), order=order).values.real
+        return v
 
-    def value_at(self, x, grid: Optional[Grid] = None):
-        if self.kind == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "linear":
-            return self.slope * np.asarray(x, dtype=float)
-        if self.kind == "harmonic":
-            return 0.5 * self.stiffness * (np.asarray(x, dtype=float) - self.center) ** 2
-        if self.kind == "noisy":
-            return self.base.value_at(x, grid)
+    def value_at(self, x, grid: Optional[Grid] = None, order: int = 0):
+        """V or its derivative of order 1 or 2 at the points x; tabulated
+        potentials interpolate their grid values and need the grid."""
+        if self.samples is None:
+            return _polynomial(self._derivatives[order],
+                               np.asarray(x, dtype=float) - self.center)
         if grid is None:
             raise ValueError("tabulated potential needs the grid for point evaluation")
-        return np.interp(x, grid.x, self.values(grid))
-
-    def derivative_at(self, x, grid: Optional[Grid] = None):
-        if self.kind == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "linear":
-            return np.full_like(np.asarray(x, dtype=float), self.slope)
-        if self.kind == "harmonic":
-            return self.stiffness * (np.asarray(x, dtype=float) - self.center)
-        if self.kind == "noisy":
-            return self.base.derivative_at(x, grid)
-        if grid is None:
-            raise ValueError("tabulated potential needs the grid for point evaluation")
-        return np.interp(x, grid.x, self.derivative(grid))
-
-    def second_derivative_at(self, x, grid: Optional[Grid] = None):
-        if self.kind in ("free", "linear"):
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "harmonic":
-            return np.full_like(np.asarray(x, dtype=float), self.stiffness)
-        if self.kind == "noisy":
-            return self.base.second_derivative_at(x, grid)
-        if grid is None:
-            raise ValueError("tabulated potential needs the grid for point evaluation")
-        d2 = spectral_derivative(StateVector(grid, self.values(grid)), order=2).values.real
-        return np.interp(x, grid.x, d2)
+        return np.interp(x, grid.x, self.values(grid, order))
 
     def noise_slopes(self, n_steps: int) -> np.ndarray:
-        if self.kind != "noisy":
-            return np.zeros(n_steps)
         if self.noise_stream is None:
-            raise ValueError("noisy potential without an RngStream")
+            return np.zeros(n_steps)
         return self.noise_std * self.noise_stream.generator().standard_normal(n_steps)
 
 
@@ -212,7 +192,7 @@ def _run_steps(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     exp_kin = np.exp(-1j * phys.hbar * k ** 2 * dt / (2.0 * phys.mass))
     v_static = V.values(g)
     slopes = V.noise_slopes(n_steps)
-    static = V.kind != "noisy"
+    static = V.noise_stream is None
     if static:
         exp_v2 = np.exp(-1j * v_static * dt / (2.0 * phys.hbar))
     vals = psi.values.copy()
@@ -259,7 +239,7 @@ def newton_integrate(a0: float, p0: float, V: PotentialSpec, phys: PhysicsParams
     a = np.empty(n_steps + 1)
     p = np.empty(n_steps + 1)
     a[0], p[0] = a0, p0
-    force = lambda x, s: -float(V.derivative_at(x, grid)) - slopes[s]
+    force = lambda x, s: -float(V.value_at(x, grid, order=1)) - slopes[s]
     for s in range(n_steps):
         p_half = p[s] + 0.5 * dt_eff * force(a[s], s)
         a[s + 1] = a[s] + dt_eff * p_half / phys.mass
@@ -270,17 +250,16 @@ def newton_integrate(a0: float, p0: float, V: PotentialSpec, phys: PhysicsParams
 def packet_width_bound(t, sigma: float, V: PotentialSpec, phys: PhysicsParams) -> np.ndarray:
     """Upper bound on the packet width along the evolution.
 
-    Free and linear potentials spread exactly like the free packet; a
-    harmonic well makes the width breathe between sigma and the coherent
+    Polynomials of degree at most 1 spread exactly like the free packet; a
+    quadratic well makes the width breathe between sigma and the coherent
     width, so the bound is their maximum.  Noise adds a linear slope only
     and does not change the width.  For other potentials the free-spreading
     curve is a heuristic, not a bound.
     """
     t = np.asarray(t, dtype=float)
-    kind = V.base.kind if V.kind == "noisy" else V.kind
-    stiffness = V.base.stiffness if V.kind == "noisy" else V.stiffness
-    if kind == "harmonic" and stiffness > 0:
-        omega = np.sqrt(stiffness / phys.mass)
+    c = V.coeffs
+    if V.samples is None and len(c) == 3 and c[2] > 0:
+        omega = np.sqrt(2.0 * c[2] / phys.mass)
         cap = max(sigma, phys.hbar / (2.0 * phys.mass * omega * sigma))
         return np.full_like(t, cap)
     return sigma * np.sqrt(1.0 + (phys.hbar * t / (2.0 * phys.mass * sigma**2)) ** 2)
@@ -316,8 +295,8 @@ class VelocityDecomposition:
 def linearity_flag(q: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
                    grid: Optional[Grid] = None, threshold: float = 0.05) -> bool:
     """True when V is effectively linear across the packet width at q.a."""
-    v1 = abs(float(V.derivative_at(q.a, grid)))
-    v2 = abs(float(V.second_derivative_at(q.a, grid)))
+    v1 = abs(float(V.value_at(q.a, grid, order=1)))
+    v2 = abs(float(V.value_at(q.a, grid, order=2)))
     return v2 * q.sigma / max(v1, 1e-6) < threshold
 
 
@@ -359,7 +338,7 @@ def closed_form_decomposition(q: GaussianParams, V: PotentialSpec, phys: Physics
     sqrt(2) hbar/(8 sigma^2 m)."""
     hbar, m, s = phys.hbar, phys.mass, q.sigma
     v = q.p / m
-    w = -float(V.derivative_at(q.a, grid)) / m
+    w = -float(V.value_at(q.a, grid, order=1)) / m
     e_bar = q.p ** 2 / (2 * m) + hbar ** 2 / (8 * m * s ** 2) + float(V.value_at(q.a, grid))
     comps = np.array([e_bar / hbar, v / (2 * s), m * w * s / hbar,
                       np.sqrt(2.0) * hbar / (8 * s ** 2 * m)])
@@ -392,7 +371,7 @@ def ehrenfest_check(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     minus, _ = _run_steps(psi, V, phys, 1, -dt)
     dx_dt = (expect_x(plus) - expect_x(minus)) / (2.0 * dt)
     dp_dt = (expect_p(plus, phys) - expect_p(minus, phys)) / (2.0 * dt)
-    vprime = quadrature(psi.grid, V.derivative(psi.grid) * psi.density()).real
+    vprime = quadrature(psi.grid, V.values(psi.grid, order=1) * psi.density()).real
     res1 = abs(dx_dt - expect_p(psi, phys) / phys.mass)
     res2 = abs(dp_dt + vprime)
     return res1, res2

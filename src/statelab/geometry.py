@@ -35,32 +35,40 @@ class KernelSpace:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def kernel_matrix(self) -> np.ndarray:
-        """Dense k(x_i, x_j) with minimal-image distances; symmetric, unit diagonal."""
-        d = self.grid.wrap(self.grid.x[:, None] - self.grid.x[None, :])
+    def _kernel(self, d):
+        """k as a function of the minimal-image displacement d."""
         return np.exp(-(d ** 2) / (8.0 * self.sigma ** 2))
 
-    def smoothing_matrix(self) -> np.ndarray:
-        """Dense rho_sigma(x_i, x_j): Gaussian of width parameter 2 sigma^2,
-        normalized so that rho* rho reproduces the kernel."""
-        d = self.grid.wrap(self.grid.x[:, None] - self.grid.x[None, :])
+    def _smoothing(self, d):
+        """rho_sigma as a function of d: Gaussian of width parameter
+        2 sigma^2, normalized so that rho* rho reproduces the kernel."""
         return (2.0 * np.pi * self.sigma ** 2) ** (-0.25) * np.exp(
             -(d ** 2) / (4.0 * self.sigma ** 2))
 
-    def apply_kernel(self, f: StateVector) -> StateVector:
-        """(K f)(y) = integral k(y, x) f(x) dx, via circulant FFT convolution."""
+    def _dense(self, profile) -> np.ndarray:
+        return profile(self.grid.wrap(self.grid.x[:, None] - self.grid.x[None, :]))
+
+    def _convolve(self, profile, f: StateVector) -> StateVector:
+        """integral profile(y - x) f(x) dx, via circulant FFT convolution."""
         g = self.grid
-        row = np.exp(-(g.wrap(g.x - g.x[0]) ** 2) / (8.0 * self.sigma ** 2))
-        out = np.fft.ifft(np.fft.fft(row) * np.fft.fft(f.values)) * g.dx
-        return StateVector(g, out)
+        row = profile(g.wrap(g.x - g.x[0]))
+        return StateVector(g, np.fft.ifft(np.fft.fft(row) * np.fft.fft(f.values)) * g.dx)
+
+    def kernel_matrix(self) -> np.ndarray:
+        """Dense k(x_i, x_j) with minimal-image distances; symmetric, unit diagonal."""
+        return self._dense(self._kernel)
+
+    def smoothing_matrix(self) -> np.ndarray:
+        """Dense rho_sigma(x_i, x_j)."""
+        return self._dense(self._smoothing)
+
+    def apply_kernel(self, f: StateVector) -> StateVector:
+        """(K f)(y) = integral k(y, x) f(x) dx."""
+        return self._convolve(self._kernel, f)
 
     def smooth(self, f: StateVector) -> StateVector:
         """Apply rho_sigma; carries grid deltas to normalized Gaussians."""
-        g = self.grid
-        row = (2.0 * np.pi * self.sigma ** 2) ** (-0.25) * np.exp(
-            -(g.wrap(g.x - g.x[0]) ** 2) / (4.0 * self.sigma ** 2))
-        out = np.fft.ifft(np.fft.fft(row) * np.fft.fft(f.values)) * g.dx
-        return StateVector(g, out)
+        return self._convolve(self._smoothing, f)
 
 
 @dataclass(frozen=True)
@@ -117,11 +125,6 @@ def embed_point(a: float, ks: KernelSpace) -> StateVector:
     """Image of the classical point a in state space: the normalized Gaussian
     of width sigma centered at a (smoothed delta)."""
     return realize(GaussianParams(float(a), 0.0, ks.sigma), ks.grid)
-
-
-def embed_phase_point(q: GaussianParams, grid: Grid, hbar: float = 1.0) -> StateVector:
-    """Image of the classical phase-space point (a, p); see :func:`realize`."""
-    return realize(q, grid, hbar=hbar)
 
 
 def grid_delta(grid: Grid, a: float) -> StateVector:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
-from .dynamics import PhysicsParams
+from .dynamics import PhysicsParams, PotentialSpec
 from .numerics import NumericalBreakdownError
 
 
@@ -42,10 +43,6 @@ def matrix_polynomial(coeffs: Sequence[float], X: np.ndarray) -> np.ndarray:
     for c in reversed(list(coeffs)):
         out = out @ X + c * np.eye(n)
     return out
-
-
-def polynomial_derivative(coeffs: Sequence[float]) -> list[float]:
-    return [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +85,7 @@ def build_operators(n: int, phys: PhysicsParams, v_coeffs: Sequence[float],
     """
     if n < 16:
         raise ValueError("basis dimension must be at least 16")
-    coeffs = [float(c) for c in v_coeffs] or [0.0]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
+    coeffs = PotentialSpec(v_coeffs).coeffs   # trailing zeros dropped
     deg = len(coeffs) - 1
     if deg > 4:
         raise ValueError("potential degree must be at most 4")
@@ -101,8 +96,8 @@ def build_operators(n: int, phys: PhysicsParams, v_coeffs: Sequence[float],
     if buffer >= n:
         raise ValueError("buffer leaves no interior block")
     X, P = position_momentum(n, phys, omega0)
-    F = -matrix_polynomial(polynomial_derivative(coeffs), X)
-    return OperatorTriple(n=n, buffer=int(buffer), X=X, P=P, F=F, v_coeffs=tuple(coeffs))
+    F = -matrix_polynomial(polyder(coeffs), X)
+    return OperatorTriple(n=n, buffer=int(buffer), X=X, P=P, F=F, v_coeffs=coeffs)
 
 
 def reference_hamiltonian(ops: OperatorTriple, phys: PhysicsParams) -> np.ndarray:

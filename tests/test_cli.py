@@ -146,3 +146,33 @@ def test_horizon_rejects_a_packet_on_the_seam(grid, phys):
     q0 = GaussianParams(grid.x_max - 0.5, 0.0, 0.5)
     with pytest.raises(ValidationError):
         _fit_horizon(q0, PotentialSpec.free(), phys, grid, 0.5, 2.0 * np.pi)
+
+
+@pytest.mark.parametrize("data", [
+    {"potential": {"kind": "harmonic", "stiffness": 1000.0}},
+    {"kernel": {"sigma": 0.01}},
+], ids=["stiff-potential", "narrow-packet"])
+def test_trajectory_step_guard_rejected_at_validation(tmp_path, capsys, data):
+    # the propagator's per-step phase bound fails for the trajectory checks'
+    # start packet: a config error, not a traceback from inside the section
+    code, out = run(tmp_path, "dynamics-checks", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dt too large" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
+    # exit 1 is allowed: the statistical bounds are pinned at 1e5 walkers
+    outs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("STATELAB_THREADS", threads)
+        code, out = run(tmp_path / threads, "all", "--walkers", "2000")
+        assert code in (0, 1)
+        outs.append(out)
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert "report.json" in files and "trajectory.csv" in files
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -8,6 +8,9 @@ from statelab import (
     newton_integrate, projective_speed, propagate, realize,
     velocity_decomposition, wavepacket_trajectory, quadrature, inner_l2,
 )
+import statelab.dynamics as dyn
+from statelab.cli import ExperimentConfig, run_dynamics
+from statelab.dynamics import packet_width_bound
 
 SIGMA = 0.5
 
@@ -343,3 +346,62 @@ def test_wavepacket_trajectory_shape(grid, phys):
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.0)
     assert len(t) == len(xs) == len(ps)
     assert final.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+# ------------------------------------------------------ potential values
+
+def test_potential_equal_constructors_compare_and_hash_equal():
+    for make in (PotentialSpec.free, lambda: PotentialSpec.linear(0.7),
+                 lambda: PotentialSpec.harmonic(1.0, center=-40.0)):
+        assert make() == make()
+        assert hash(make()) == hash(make())
+    # one value per V: a zero slope is the free potential
+    assert PotentialSpec.linear(0.0) == PotentialSpec.free()
+    assert PotentialSpec.harmonic(1.0) != PotentialSpec.harmonic(1.0, center=0.1)
+    assert PotentialSpec.harmonic(1.0) != PotentialSpec.linear(1.0)
+
+
+def test_tabulated_potentials_compare_by_samples(grid):
+    a = PotentialSpec.tabulated(grid.x ** 4)
+    assert a == PotentialSpec.tabulated(np.array(grid.x ** 4))
+    assert hash(a) == hash(PotentialSpec.tabulated(np.array(grid.x ** 4)))
+    assert a != PotentialSpec.tabulated(grid.x ** 2)
+
+
+def test_noisy_equality_depends_on_std_and_stream():
+    base = PotentialSpec.harmonic(1.0)
+    V = PotentialSpec.noisy(base, 0.5, RngStream(5, 15))
+    assert V == PotentialSpec.noisy(PotentialSpec.harmonic(1.0), 0.5, RngStream(5, 15))
+    assert hash(V) == hash(PotentialSpec.noisy(base, 0.5, RngStream(5, 15)))
+    assert V != PotentialSpec.noisy(base, 0.6, RngStream(5, 15))
+    assert V != PotentialSpec.noisy(base, 0.5, RngStream(6, 15))
+    assert V != base
+
+
+def test_noisy_of_noisy_raises():
+    V = PotentialSpec.noisy(PotentialSpec.free(), 0.5, RngStream(5, 15))
+    with pytest.raises(ValueError):
+        PotentialSpec.noisy(V, 0.5, RngStream(6, 15))
+
+
+def test_noisy_packet_width_bound_equals_base(phys):
+    t = np.linspace(0.0, 2 * np.pi, 9)
+    base = PotentialSpec.harmonic(2.0, center=0.3)
+    noisy = PotentialSpec.noisy(base, 0.5, RngStream(5, 15))
+    assert np.array_equal(packet_width_bound(t, SIGMA, noisy, phys),
+                          packet_width_bound(t, SIGMA, base, phys))
+
+
+def test_run_dynamics_propagates_each_trajectory_once(tmp_path, monkeypatch):
+    # on the default config the configured trajectory is the canonical
+    # harmonic one, so only it and the free trajectory are propagated
+    calls = []
+    original = dyn.wavepacket_trajectory
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "wavepacket_trajectory", counting)
+    run_dynamics(ExperimentConfig({}), tmp_path)
+    assert calls == [PotentialSpec.harmonic(1.0), PotentialSpec.free()]

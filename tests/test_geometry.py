@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from statelab import (
     GaussianParams, KernelSpace, PhaseSpacePoint, StateVector,
-    completeness_rank, delta_path_projection, embed_phase_point, embed_point,
+    completeness_rank, delta_path_projection, embed_point,
     expect_p, fs_distance, fs_metric_restriction_check, grid_delta,
     h_norm_velocity, inner_l2, kernel_inner, realize, spread_direction,
     tangent_basis,
@@ -92,15 +92,15 @@ def test_embed_point_rejects_out_of_domain(ks):
         embed_point(100.0, ks)
 
 
-def test_embed_phase_point_reduces_at_zero_momentum(grid, ks):
+def test_realize_reduces_to_embed_point_at_zero_momentum(grid, ks):
     q = GaussianParams(0.5, 0.0, SIGMA)
-    f = embed_phase_point(q, grid)
+    f = realize(q, grid)
     assert np.max(np.abs(f.values - embed_point(0.5, ks).values)) < 1e-14
 
 
-def test_embed_phase_point_momentum_expectation(grid, phys):
+def test_realize_momentum_expectation(grid, phys):
     for p in (-1.5, 0.3, 2.0):
-        f = embed_phase_point(GaussianParams(0.0, p, SIGMA), grid)
+        f = realize(GaussianParams(0.0, p, SIGMA), grid)
         assert f.norm() == pytest.approx(1.0, abs=1e-10)
         assert expect_p(f, phys) == pytest.approx(p, abs=1e-8)
 
