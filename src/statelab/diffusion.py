@@ -10,6 +10,8 @@ center-of-mass diffusion of an n-cell solid is suppressed as 1/n.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -115,9 +117,15 @@ def brownian_walk(start: float, cfg: DiffusionConfig, n_epochs: int = 1) -> np.n
     """Final positions of the walker ensemble after n_epochs observation
     times; walker i always consumes row i of the vectorized draw, so results
     are independent of execution order."""
+    return start + _epoch_steps(cfg, n_epochs).sum(axis=1)
+
+
+def _epoch_steps(cfg: DiffusionConfig, n_epochs: int) -> np.ndarray:
+    """Brownian displacements, one row per walker and one column per epoch."""
+    if n_epochs < 1:
+        raise ValueError("n_epochs must be at least 1")
     rng = cfg.stream.generator()
-    steps = rng.standard_normal((cfg.n_walkers, n_epochs)) * cfg.diffusion_sigma
-    return start + steps.sum(axis=1)
+    return rng.standard_normal((cfg.n_walkers, n_epochs)) * cfg.diffusion_sigma
 
 
 def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
@@ -250,9 +258,7 @@ def verify_diffusion_pde(cfg: DiffusionConfig, start: float = 0.0,
     the sup-norm residual is taken over bin-averaged densities, and the
     per-epoch variances exhibit additivity.
     """
-    rng = cfg.stream.generator()
-    steps = rng.standard_normal((cfg.n_walkers, n_epochs)) * cfg.diffusion_sigma
-    positions = start + np.cumsum(steps, axis=1)
+    positions = start + np.cumsum(_epoch_steps(cfg, n_epochs), axis=1)
     width = cfg.diffusion_sigma / 4.0
     sup = 0.0
     variances = np.empty(n_epochs)
@@ -272,6 +278,11 @@ def verify_diffusion_pde(cfg: DiffusionConfig, start: float = 0.0,
                     expected_variances=expected)
 
 
+# walker blocks of solid_com_diffusion; fixed, so no result depends on how
+# many threads run them
+_BLOCKS = 8
+
+
 def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
                         n_steps: int = 8) -> float:
     """Estimated center-of-mass diffusion coefficient of an n-cell solid.
@@ -279,14 +290,31 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
     Every cell receives an independent Gaussian kick each step; the COM moves
     by the mean kick (equal masses).  The estimate is Var(total displacement)
     / (2 * n_steps * tau); it scales as 1/n_cells.
+
+    The walkers are split into _BLOCKS blocks (np.array_split sizes); block b
+    draws from cfg.stream.child(b), and the blocks run on up to one thread
+    per available core.  Philox fills and row means release the GIL, and the
+    displacements are joined in block order, so the estimate is the same for
+    every thread count.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
-    rng = cfg.stream.generator()
-    disp = np.zeros(cfg.n_walkers)
-    for _ in range(n_steps):
-        kicks = rng.standard_normal((cfg.n_walkers, n_cells))
-        disp += kick_std * kicks.mean(axis=1)
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+
+    def block(b: int, size: int) -> np.ndarray:
+        rng = cfg.stream.child(b).generator()
+        disp = np.zeros(size)
+        for _ in range(n_steps):
+            kicks = rng.standard_normal((size, n_cells))
+            disp += kick_std * kicks.mean(axis=1)
+        return disp
+
+    q, r = divmod(cfg.n_walkers, _BLOCKS)
+    sizes = [q + (b < r) for b in range(_BLOCKS)]
+    workers = min(_BLOCKS, len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        disp = np.concatenate(list(pool.map(block, range(_BLOCKS), sizes)))
     return float(np.var(disp) / (2.0 * n_steps * cfg.tau))
 
 

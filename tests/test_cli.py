@@ -94,6 +94,13 @@ def test_born_diffusion_deterministic(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_reconstruct_exit_zero(tmp_path):
+    code, out = run(tmp_path, "reconstruct")
+    assert code == 0
+    assert (out / "report.json").exists()
+    assert (out / "reconstruct.csv").exists()
+
+
 def test_report_overall_flag_is_conjunction(tmp_path):
     code, out = run(tmp_path, "solid-com")
     report = json.loads((out / "report.json").read_text())
@@ -166,13 +173,14 @@ def test_trajectory_step_guard_rejected_at_validation(tmp_path, capsys, data):
 def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
     # exit 1 is allowed: the statistical bounds are pinned at 1e5 walkers
     outs = []
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "4"):
         monkeypatch.setenv("STATELAB_THREADS", threads)
         code, out = run(tmp_path / threads, "all", "--walkers", "2000")
         assert code in (0, 1)
         outs.append(out)
     files = sorted(p.name for p in outs[0].iterdir())
     assert "report.json" in files and "trajectory.csv" in files
-    assert files == sorted(p.name for p in outs[1].iterdir())
-    for name in files:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for other in outs[1:]:
+        assert files == sorted(p.name for p in other.iterdir())
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statelab import (
-    DiffusionConfig, RngStream, StateVector,
+    DiffusionConfig, diffusion, RngStream, StateVector,
     brownian_walk, decompose_state, density_functional, embed_point,
     fs_distance, inner_l2, random_superposition, random_unitary,
     simulate_state_diffusion, solid_com_diffusion, verify_diffusion_pde,
@@ -228,6 +228,14 @@ def test_verify_diffusion_pde_zero_epochs_degenerate():
     assert res.variances[0] < 1e-20     # all walkers stay in the start bin
 
 
+def test_epoch_count_must_be_positive():
+    # zero epochs would check nothing: an empty PdeCheck passes any bound
+    with pytest.raises(ValueError):
+        verify_diffusion_pde(cfg(n=1000, stream_id=8), n_epochs=0)
+    with pytest.raises(ValueError):
+        brownian_walk(0.0, cfg(n=1000), n_epochs=0)
+
+
 # ------------------------------------------------------------- solid COM
 
 def test_solid_single_cell_matches_brownian():
@@ -250,3 +258,35 @@ def test_solid_zero_kick():
 def test_solid_validation():
     with pytest.raises(ValueError):
         solid_com_diffusion(0, 0.5, cfg(n=10))
+
+
+def test_solid_step_count_must_be_positive():
+    # no steps means no displacement variance to estimate (0 gives nan, -3 gives -0.0)
+    for n_steps in (0, -3):
+        with pytest.raises(ValueError):
+            solid_com_diffusion(10, 0.5, cfg(n=10), n_steps=n_steps)
+
+
+def test_solid_blocks_are_thread_count_invariant(monkeypatch):
+    pools = []
+    real_pool = diffusion.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(diffusion, "ThreadPoolExecutor", spy)
+    cores = len(diffusion.os.sched_getaffinity(0))
+    c = cfg(n=20_000, stream_id=14)
+    default = solid_com_diffusion(10, 0.5, c)
+    monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: {0})
+    single = solid_com_diffusion(10, 0.5, c)
+    assert pools == [min(diffusion._BLOCKS, cores), 1]
+    assert single == default
+
+
+@pytest.mark.parametrize("n_walkers", [1001, 3])
+def test_solid_uneven_walker_blocks(n_walkers):
+    # 1001 does not split evenly into the blocks; 3 leaves most blocks empty
+    k = solid_com_diffusion(10, 0.5, cfg(n=n_walkers, stream_id=15))
+    assert np.isfinite(k) and k > 0.0
