@@ -2,10 +2,10 @@
 
 from .numerics import (
     Grid, NumericalBreakdownError, RngStream, StateVector,
-    dft, idft, inner_l2, make_grid, quadrature, spectral_derivative,
+    dft, idft, inner_l2, quadrature, spectral_derivative,
 )
 from .geometry import (
-    GaussianParams, KernelSpace, PhaseSpacePoint,
+    GaussianParams, KernelSpace,
     completeness_rank, delta_path_projection, embed_point,
     fs_distance, fs_metric_restriction_check, gram_matrix, grid_delta,
     h_norm_velocity, kernel_inner, realize, spread_direction, tangent_basis,

@@ -3,15 +3,20 @@
 Subcommands mirror the library's sections: geometry-identities,
 dynamics-checks, reconstruct, born-diffusion, solid-com, and all.  Runs are
 fully deterministic: equal configs produce byte-identical report.json and CSV
-tables.  Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
-3 numerical breakdown.
+tables.  Sections compute checks and tables; ``main`` writes every file.
+Exit codes: 0 all checks pass, 1 a check failed, 2 config error, 3 numerical
+breakdown, 4 section error (any other exception).  A section that raises
+leaves a failing ``section-error`` check, the other sections are still
+written, and the exit code is the largest any section produced.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -77,22 +82,28 @@ def _validate_units(cfg: dict) -> None:
     units = cfg.get("units")
     if not isinstance(units, dict):
         raise ValidationError("config must carry a 'units' block annotating physical quantities")
-    present = []
     for section in ("grid", "physics", "kernel", "potential", "diffusion"):
-        for key in cfg.get(section, {}):
-            path = f"{section}.{key}"
-            if path in UNIT_SCHEMA:
-                present.append(path)
-    for path in present:
-        if path not in units:
-            raise ValidationError(f"missing unit annotation for {path!r} "
-                                  f"(expected {UNIT_SCHEMA[path]!r})")
-        if units[path] != UNIT_SCHEMA[path]:
-            raise ValidationError(
-                f"unit for {path!r} is {units[path]!r}, expected {UNIT_SCHEMA[path]!r}")
+        for path in (f"{section}.{key}" for key in cfg.get(section, {})):
+            if path not in UNIT_SCHEMA:
+                continue
+            if path not in units:
+                raise ValidationError(f"missing unit annotation for {path!r} "
+                                      f"(expected {UNIT_SCHEMA[path]!r})")
+            if units[path] != UNIT_SCHEMA[path]:
+                raise ValidationError(
+                    f"unit for {path!r} is {units[path]!r}, expected {UNIT_SCHEMA[path]!r}")
     for path in units:
         if path not in UNIT_SCHEMA:
             raise ValidationError(f"unknown unit annotation {path!r}")
+
+
+def _reject_non_finite(node, path: str = "") -> None:
+    # Python's json reads NaN and Infinity as floats
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ValidationError(f"{path} must be a finite number, not {node!r}")
 
 
 def _potential_from_config(d: dict, seed: int) -> PotentialSpec:
@@ -127,6 +138,7 @@ class ExperimentConfig:
                 merged[k].update(v)
             else:
                 merged[k] = v
+        _reject_non_finite(merged)
         _validate_units(merged)
         g = merged["grid"]
         if g.get("periodic", True) is not True:
@@ -146,9 +158,10 @@ class ExperimentConfig:
         sigma = float(merged["kernel"]["sigma"])
         if sigma <= 0:
             raise ValidationError("kernel.sigma must be positive")
-        if self.grid.length < 20.0 * sigma:
+        if self.grid.length <= 36.0 * sigma:
             raise ValidationError(
-                "grid must span at least 20 kernel widths (10 sigma margins)")
+                "grid must span more than 36 kernel widths: born-diffusion places up to "
+                "5 centers 6 sigma apart inside 6 sigma margins")
         self.kernel = KernelSpace(self.grid, sigma)
         self.seed = int(merged["seed"])
         self.potential = _potential_from_config(merged["potential"], self.seed)
@@ -190,11 +203,9 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     if overrides.get("seed") is not None:
         data["seed"] = overrides["seed"]
     if overrides.get("walkers") is not None:
-        data.setdefault("diffusion", {})
-        data["diffusion"]["n_walkers"] = overrides["walkers"]
+        data.setdefault("diffusion", {})["n_walkers"] = overrides["walkers"]
     if overrides.get("grid") is not None:
-        data.setdefault("grid", {})
-        data["grid"]["n_points"] = overrides["grid"]
+        data.setdefault("grid", {})["n_points"] = overrides["grid"]
     return ExperimentConfig(data)
 
 
@@ -208,12 +219,12 @@ def _worker_count() -> int:
     return int(env)
 
 
-def write_csv(path: Path, header: list[str], rows) -> str:
+def write_csv(path: Path, header: list[str], rows) -> None:
+    path.unlink(missing_ok=True)   # ext4 flushes an overwritten file on close: ~40 ms each
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path.name
 
 
 def _fmt(v) -> str:
@@ -251,7 +262,7 @@ def _fit_horizon(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams, grid
     return float(t[n_clear - 1])
 
 
-def run_geometry(cfg: ExperimentConfig, out: Path) -> Report:
+def run_geometry(cfg: ExperimentConfig) -> Report:
     rep = Report("geometry-identities", cfg.echo)
     ks = cfg.kernel
     sigma = ks.sigma
@@ -267,18 +278,15 @@ def run_geometry(cfg: ExperimentConfig, out: Path) -> Report:
 
     seps = np.array([0.5, 1.0, 2.0, 4.0]) * sigma
     rows = []
-    worst = 0.0
     for s in seps:
         f = geo.embed_point(-s / 2.0, ks)
         g = geo.embed_point(+s / 2.0, ks)
         c2 = np.cos(geo.fs_distance(f, g)) ** 2
         ref = np.exp(-s ** 2 / (4.0 * sigma ** 2))
-        worst = max(worst, abs(c2 - ref))
         rows.append((s / sigma, c2, ref, abs(c2 - ref)))
-    rep.add(check_upper("overlap-distance-identity-max-dev", worst, 1e-8))
-    rep.artifacts.append(write_csv(out / "overlap_distance.csv",
-                                   ["separation_over_sigma", "cos2_fs_distance",
-                                    "closed_form", "deviation"], rows))
+    rep.add(check_upper("overlap-distance-identity-max-dev", max(r[3] for r in rows), 1e-8))
+    rep.tables["overlap_distance.csv"] = (
+        ["separation_over_sigma", "cos2_fs_distance", "closed_form", "deviation"], rows)
 
     speed = geo.h_norm_velocity(lambda t: 1.0 * t, ks)
     rep.add(check_rel("isometry-unit-speed", speed, 1.0, 1e-4))
@@ -303,19 +311,17 @@ def run_geometry(cfg: ExperimentConfig, out: Path) -> Report:
     q = GaussianParams(0.5, 0.7, sigma)
     eps_a = 1e-3 * 2.0 * sigma
     eps_p = 1e-3 * cfg.physics.hbar / sigma
-    worst_rel = 0.0
     stencil_rows = []
     for ia in (-1, 0, 1):
         for ip in (-1, 0, 1):
             lhs, rhs = geo.fs_metric_restriction_check(
                 q, ia * eps_a, ip * eps_p, cfg.grid, hbar=cfg.physics.hbar)
             dev = 0.0 if rhs == 0.0 else abs(lhs - rhs) / rhs
-            worst_rel = max(worst_rel, dev)
             stencil_rows.append((ia * eps_a, ip * eps_p, lhs, rhs, dev))
-    rep.add(check_upper("fs-metric-restriction-max-rel-dev", worst_rel, 1e-3))
-    rep.artifacts.append(write_csv(out / "fs_metric_stencil.csv",
-                                   ["da", "dp", "fd_distance_sq", "closed_form", "rel_dev"],
-                                   stencil_rows))
+    rep.add(check_upper("fs-metric-restriction-max-rel-dev",
+                        max(r[4] for r in stencil_rows), 1e-3))
+    rep.tables["fs_metric_stencil.csv"] = (
+        ["da", "dp", "fd_distance_sq", "closed_form", "rel_dev"], stencil_rows)
 
     rank, m = geo.completeness_rank(ks)
     rep.add(check_upper("completeness-rank-deficit", 1.0 - rank / m, 0.1,
@@ -323,10 +329,10 @@ def run_geometry(cfg: ExperimentConfig, out: Path) -> Report:
     return rep
 
 
-def run_dynamics(cfg: ExperimentConfig, out: Path) -> Report:
+def run_dynamics(cfg: ExperimentConfig) -> Report:
     rep = Report("dynamics-checks", cfg.echo)
     grid, phys, sigma = cfg.grid, cfg.physics, cfg.kernel.sigma
-    hbar, m = phys.hbar, phys.mass
+    hbar = phys.hbar
 
     # velocity decomposition: closure + closed forms over a 5x5 phase-space sample
     pots = [("free", PotentialSpec.free()),
@@ -357,10 +363,9 @@ def run_dynamics(cfg: ExperimentConfig, out: Path) -> Report:
                                  d.total_norm, closure, int(d.linearity_ok)))
     rep.add(check_upper("decomposition-closure-max-rel-dev", worst_closure, 1e-3))
     rep.add(check_upper("decomposition-closed-form-max-rel-dev", worst_comp, 1e-3))
-    rep.artifacts.append(write_csv(out / "decomposition.csv",
-                                   ["potential", "a", "p", "fibre", "position", "momentum",
-                                    "spread", "total_norm", "closure_rel_dev", "linearity_ok"],
-                                   dec_rows))
+    rep.tables["decomposition.csv"] = (
+        ["potential", "a", "p", "fibre", "position", "momentum", "spread", "total_norm",
+         "closure_rel_dev", "linearity_ok"], dec_rows)
 
     d = dyn.velocity_decomposition(GaussianParams(0.0, 1.0, 0.5), PotentialSpec.free(),
                                    PhysicsParams(1.0, 1.0), grid)
@@ -421,9 +426,8 @@ def run_dynamics(cfg: ExperimentConfig, out: Path) -> Report:
     rep.add(check_upper("constrained-motion-config-max-dev-x",
                         float(np.max(np.abs(xs - xn))), 1e-4,
                         note=f"configured potential over t={horizon:.3g}"))
-    rep.artifacts.append(write_csv(out / "trajectory.csv",
-                                   ["t", "x_packet", "p_packet", "x_newton", "p_newton"],
-                                   list(zip(t, xs, ps, xn, pn))))
+    rep.tables["trajectory.csv"] = (["t", "x_packet", "p_packet", "x_newton", "p_newton"],
+                                    list(zip(t, xs, ps, xn, pn)))
 
     # unitarity, including a noisy potential
     noisy = PotentialSpec.noisy(PotentialSpec.harmonic(1.0), 0.5, cfg.stream(15))
@@ -441,7 +445,7 @@ def run_dynamics(cfg: ExperimentConfig, out: Path) -> Report:
     return rep
 
 
-def run_reconstruct(cfg: ExperimentConfig, out: Path) -> Report:
+def run_reconstruct(cfg: ExperimentConfig) -> Report:
     rep = Report("reconstruct", cfg.echo)
     phys = cfg.physics
     rows = []
@@ -455,8 +459,7 @@ def run_reconstruct(cfg: ExperimentConfig, out: Path) -> Report:
         rows.append((name, 32, res.interior, res.block_error, res.residual_x,
                      res.residual_p, res.gauge_constant))
     for n in (16, 32, 64):
-        ops = rec.build_operators(n, phys, pots["harmonic"].coeffs)
-        dim = rec.kernel_of_constraints(ops)
+        dim = rec.kernel_of_constraints(rec.build_operators(n, phys, pots["harmonic"].coeffs))
         rep.add(check_abs(f"constraint-kernel-dimension-n{n}", dim, 1.0, 0.0))
 
     ops = rec.build_operators(32, phys, pots["free"].coeffs)
@@ -470,19 +473,17 @@ def run_reconstruct(cfg: ExperimentConfig, out: Path) -> Report:
     rep.add(CheckRecord("null-test-inconsistent-force", float(ratio), 1e-2, 1e-2,
                         ratio > 1e-2, "lower",
                         "residual_p must stay away from zero for a non-gradient force"))
-    rep.artifacts.append(write_csv(out / "reconstruct.csv",
-                                   ["potential", "n", "interior", "block_error",
-                                    "residual_x", "residual_p", "gauge_constant"], rows))
+    rep.tables["reconstruct.csv"] = (["potential", "n", "interior", "block_error",
+                                      "residual_x", "residual_p", "gauge_constant"], rows)
     return rep
 
 
-def run_born_diffusion(cfg: ExperimentConfig, out: Path) -> Report:
+def run_born_diffusion(cfg: ExperimentConfig) -> Report:
     rep = Report("born-diffusion", cfg.echo)
     ks, dcfg = cfg.kernel, cfg.diffusion
 
-    pde = diff.verify_diffusion_pde(
-        diff.DiffusionConfig(dcfg.n_walkers, dcfg.tau, dcfg.diffusion_sigma,
-                             cfg.stream(13)), n_epochs=2)
+    pde = diff.verify_diffusion_pde(dataclasses.replace(dcfg, stream=cfg.stream(13)),
+                                    n_epochs=2)
     rep.add(check_upper("pde-heat-kernel-sup-residual", pde.max_sup_residual, 0.03))
     var_dev = float(np.max(np.abs(pde.variances / pde.expected_variances - 1.0)))
     rep.add(check_upper("pde-variance-additivity-rel-dev", var_dev, 0.05))
@@ -492,9 +493,8 @@ def run_born_diffusion(cfg: ExperimentConfig, out: Path) -> Report:
     mass_rows, hist_rows = [], []
     for case in range(10):
         psi, centers, weights = diff.random_superposition(ks, cfg.stream(11).child(case))
-        walk_cfg = diff.DiffusionConfig(dcfg.n_walkers, dcfg.tau, dcfg.diffusion_sigma,
-                                        cfg.stream(12).child(case))
-        est = diff.simulate_state_diffusion(psi, walk_cfg, ks, centers=centers)
+        est = diff.simulate_state_diffusion(
+            psi, dataclasses.replace(dcfg, stream=cfg.stream(12).child(case)), ks, centers=centers)
         worst_l1 = max(worst_l1, est.l1_error)
         worst_ks = max(worst_ks, est.ks_statistic)
         for j, (w, mass) in enumerate(zip(est.expected_weights, est.component_masses)):
@@ -503,7 +503,6 @@ def run_born_diffusion(cfg: ExperimentConfig, out: Path) -> Report:
             worst_z = max(worst_z, z)
             mass_rows.append((case, j, centers[j], w, mass, sd))
         if case == 0:
-            mids = 0.5 * (est.bin_edges[:-1] + est.bin_edges[1:])
             hist_rows = list(zip(est.bin_edges[:-1], est.bin_edges[1:], est.counts,
                                  est.density, est.reference_density))
     rep.add(check_upper("born-l1-error-max", worst_l1, 0.02,
@@ -512,12 +511,10 @@ def run_born_diffusion(cfg: ExperimentConfig, out: Path) -> Report:
                         note="binomial standard deviations"))
     rep.add(check_upper("born-ks-statistic-max", worst_ks, ks_crit,
                         note="Kolmogorov-Smirnov at the 1% level"))
-    rep.artifacts.append(write_csv(out / "born_masses.csv",
-                                   ["case", "component", "center", "expected_weight",
-                                    "observed_mass", "binomial_sd"], mass_rows))
-    rep.artifacts.append(write_csv(out / "born_histogram.csv",
-                                   ["bin_left", "bin_right", "count", "density",
-                                    "reference_density"], hist_rows))
+    rep.tables["born_masses.csv"] = (["case", "component", "center", "expected_weight",
+                                      "observed_mass", "binomial_sd"], mass_rows)
+    rep.tables["born_histogram.csv"] = (["bin_left", "bin_right", "count", "density",
+                                         "reference_density"], hist_rows)
 
     # transition density: exchange symmetry and unitary invariance
     agrid = Grid(64, -8.0, 8.0, True)
@@ -539,33 +536,27 @@ def run_born_diffusion(cfg: ExperimentConfig, out: Path) -> Report:
     # single-component sanity and two-component mass split
     psi1 = geo.embed_point(0.0, ks)
     est1 = diff.simulate_state_diffusion(
-        psi1, diff.DiffusionConfig(dcfg.n_walkers, dcfg.tau, dcfg.diffusion_sigma,
-                                   cfg.stream(18)), ks,
-        centers=np.array([0.0]))
+        psi1, dataclasses.replace(dcfg, stream=cfg.stream(18)), ks, centers=np.array([0.0]))
     rep.add(check_upper("single-component-l1-error", est1.l1_error, 0.02))
 
     b1, b2 = -3.0 * ks.sigma, 3.0 * ks.sigma
     v2 = (0.6 * geo.embed_point(b1, ks).values + 0.8 * geo.embed_point(b2, ks).values)
     psi2 = StateVector(cfg.grid, v2).normalized()
     est2 = diff.simulate_state_diffusion(
-        psi2, diff.DiffusionConfig(dcfg.n_walkers, dcfg.tau, dcfg.diffusion_sigma,
-                                   cfg.stream(19)), ks,
-        centers=np.array([b1, b2]))
+        psi2, dataclasses.replace(dcfg, stream=cfg.stream(19)), ks, centers=np.array([b1, b2]))
     rep.add(check_abs("two-component-mass-split", float(est2.component_masses[0]),
                       float(est2.expected_weights[0]), 0.01))
     return rep
 
 
-def run_solid_com(cfg: ExperimentConfig, out: Path) -> Report:
+def run_solid_com(cfg: ExperimentConfig) -> Report:
     rep = Report("solid-com", cfg.echo)
     dcfg = cfg.diffusion
     kick = dcfg.diffusion_sigma
-    k_estimates = []
-    rows = []
+    k_estimates, rows = [], []
     for i, n_cells in enumerate((1, 10, 100)):
-        c = diff.DiffusionConfig(dcfg.n_walkers, dcfg.tau, dcfg.diffusion_sigma,
-                                 cfg.stream(14).child(i))
-        k_est = diff.solid_com_diffusion(n_cells, kick, c)
+        k_est = diff.solid_com_diffusion(
+            n_cells, kick, dataclasses.replace(dcfg, stream=cfg.stream(14).child(i)))
         k_estimates.append(k_est)
         rows.append((n_cells, k_est, k_est / max(k_estimates[0], 1e-300), 1.0 / n_cells))
     for (n_cells, k_est, ratio, expected) in rows:
@@ -574,11 +565,10 @@ def run_solid_com(cfg: ExperimentConfig, out: Path) -> Report:
                         float(max(np.diff(k_estimates))), 0.0,
                         note="diffusion coefficient decreases with n_cells"))
     zero = diff.solid_com_diffusion(
-        10, 0.0, diff.DiffusionConfig(1000, dcfg.tau, dcfg.diffusion_sigma, cfg.stream(14).child(9)))
+        10, 0.0, dataclasses.replace(dcfg, n_walkers=1000, stream=cfg.stream(14).child(9)))
     rep.add(check_abs("com-zero-kick", zero, 0.0, 0.0))
-    rep.artifacts.append(write_csv(out / "solid_scaling.csv",
-                                   ["n_cells", "k_estimate", "ratio_to_single",
-                                    "expected_ratio"], rows))
+    rep.tables["solid_scaling.csv"] = (["n_cells", "k_estimate", "ratio_to_single",
+                                        "expected_ratio"], rows)
     return rep
 
 
@@ -591,17 +581,32 @@ SECTIONS = {
 }
 
 
-def run_all(cfg: ExperimentConfig, out: Path, workers: int) -> Report:
+# exit codes of a section that raises; any other exception is a section error (4)
+_ERROR_CODES = ((ValidationError, 2), (NumericalBreakdownError, 3))
+
+
+def _run_section(name: str, cfg: ExperimentConfig) -> tuple[Report, int]:
+    """One section and its exit code.  An exception becomes a failing
+    ``section-error`` check and a one-line message, so the run's other
+    sections are still reported."""
+    try:
+        return SECTIONS[name](cfg), 0
+    except Exception as exc:
+        code = next((c for kind, c in _ERROR_CODES if isinstance(exc, kind)), 4)
+        msg = f"{type(exc).__name__}: {exc}"
+        print(f"section error in {name}: {msg}", file=sys.stderr)
+        return Report(name, cfg.echo, [check_upper("section-error", 1.0, 0.0, note=msg)]), code
+
+
+def run_all(cfg: ExperimentConfig, workers: int) -> tuple[Report, int]:
     names = list(SECTIONS)
-    rep = Report("all", cfg.echo)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda n: SECTIONS[n](cfg, out), names))
-    for name, sub in zip(names, results):
-        for c in sub.checks:
-            rep.add(CheckRecord(f"{name}/{c.name}", c.value, c.reference,
-                                c.tolerance, c.passed, c.mode, c.note))
-        rep.artifacts.extend(sub.artifacts)
-    return rep
+        results = list(pool.map(lambda n: _run_section(n, cfg), names))
+    rep = Report("all", cfg.echo)
+    for name, (sub, _) in zip(names, results):
+        rep.checks += [dataclasses.replace(c, name=f"{name}/{c.name}") for c in sub.checks]
+        rep.tables.update(sub.tables)
+    return rep, max(code for _, code in results)
 
 
 def main(argv=None) -> int:
@@ -632,27 +637,20 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    try:
-        if args.subcommand == "all":
-            report = run_all(cfg, out, workers)
-        else:
-            report = SECTIONS[args.subcommand](cfg, out)
-    except ValidationError as exc:
-        print(f"config error in {args.subcommand}: {exc}", file=sys.stderr)
-        return 2
-    except NumericalBreakdownError as exc:
-        print(f"numerical breakdown in {args.subcommand}: {exc}", file=sys.stderr)
-        return 3
+    if args.subcommand == "all":
+        report, code = run_all(cfg, workers)
+    else:
+        report, code = _run_section(args.subcommand, cfg)
     elapsed = time.perf_counter() - started
 
-    report_path = out / "report.json"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+    for name, (header, rows) in report.tables.items():
+        write_csv(out / name, header, rows)
+    with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json())
-    report.artifacts.append(report_path.name)
     print_report(report)
     # timing goes to the console only; report files must be run-to-run identical
     print(f"wall time: {elapsed:.2f} s; outputs in {out}")
-    return 0 if report.overall_pass else 1
+    return max(code, 0 if report.overall_pass else 1)
 
 
 if __name__ == "__main__":

@@ -85,18 +85,6 @@ class GaussianParams:
             raise ValueError("sigma must be positive")
 
 
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """Phase-space parameters plus the fibre coordinate (overall ray phase)."""
-
-    params: GaussianParams
-    ray_phase: float = 0.0
-
-    def state(self, grid: Grid, hbar: float = 1.0) -> StateVector:
-        psi = realize(self.params, grid, hbar=hbar)
-        return StateVector(grid, np.exp(1j * self.ray_phase) * psi.values)
-
-
 def _check_center(grid: Grid, a: float, sigma: float) -> None:
     if grid.periodic:
         if not (grid.x_min <= a <= grid.x_max):
@@ -247,15 +235,13 @@ def fs_metric_restriction_check(q: GaussianParams, da: float, dp: float,
 
 
 def gram_matrix(centers: np.ndarray, ks: KernelSpace) -> np.ndarray:
-    """L2 Gram matrix of embedded points at the given centers (grid route)."""
-    states = [embed_point(float(a), ks) for a in centers]
-    m = len(states)
-    G = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            G[i, j] = inner_l2(states[i], states[j])
-            G[j, i] = np.conj(G[i, j])
-    return G
+    """L2 Gram matrix of embedded points at the given centers (grid route).
+    Embedded points are real packets (momentum 0), so it is real symmetric;
+    filling one real row per point keeps the peak memory at one copy."""
+    S = np.empty((len(centers), ks.grid.n_points))
+    for i, a in enumerate(centers):
+        S[i] = embed_point(float(a), ks).values.real
+    return ks.grid.dx * (S @ S.T)
 
 
 def completeness_rank(ks: KernelSpace, spacing: float | None = None,

@@ -69,10 +69,6 @@ class Grid:
         return np.remainder(np.asarray(displacement) + 0.5 * L, L) - 0.5 * L
 
 
-def make_grid(n_points: int, x_min: float, x_max: float, periodic: bool = True) -> Grid:
-    return Grid(int(n_points), float(x_min), float(x_max), bool(periodic))
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over a grid; |psi|^2 integrates to a probability."""

@@ -55,14 +55,11 @@ class Report:
     experiment: str
     config: dict
     checks: list = field(default_factory=list)
-    artifacts: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)   # CSV file name -> (header, rows)
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.checks.append(record)
         return record
-
-    def extend(self, records) -> None:
-        self.checks.extend(records)
 
     @property
     def overall_pass(self) -> bool:
@@ -73,7 +70,7 @@ class Report:
             "experiment": self.experiment,
             "config": self.config,
             "checks": [c.to_dict() for c in self.checks],
-            "artifacts": sorted(self.artifacts),
+            "artifacts": sorted(self.tables),
             "overall_pass": self.overall_pass,
         }
 

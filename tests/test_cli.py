@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from statelab.cli import (
-    DEFAULT_CONFIG, ExperimentConfig, ValidationError, _fit_horizon, load_config, main,
+    DEFAULT_CONFIG, SECTIONS, ExperimentConfig, ValidationError, _fit_horizon, load_config,
+    main,
 )
+from statelab.diffusion import random_superposition
 from statelab.dynamics import PotentialSpec, newton_integrate, packet_width_bound
 from statelab.geometry import GaussianParams
+from statelab.numerics import NumericalBreakdownError
 
 
 def run(tmp_path, *argv):
@@ -184,3 +187,101 @@ def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
         assert files == sorted(p.name for p in other.iterdir())
         for name in files:
             assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"physics": {"hbar": float("nan")}}, "physics.hbar"),
+    ({"diffusion": {"tau": float("inf")}}, "diffusion.tau"),
+    ({"kernel": {"sigma": float("-inf")}}, "kernel.sigma"),
+])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, data, path):
+    code, out = run(tmp_path, "all", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert path in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_superposition_lattice_checked_at_validation(tmp_path, capsys):
+    # born-diffusion's superpositions need 5 centers 6 sigma apart inside
+    # 6 sigma margins, so L > 36 sigma; on the default grid (L = 32) sigma =
+    # 0.9 breaks it, and the run stops before any section
+    code, out = run(tmp_path, "all", "--config",
+                    write_config(tmp_path, {"kernel": {"sigma": 0.9}}))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "36 kernel widths" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+    # a width just inside the bound leaves room for the largest superposition
+    cfg = ExperimentConfig({"kernel": {"sigma": 0.88}})
+    _, centers, _ = random_superposition(cfg.kernel, cfg.stream(11), 5, 5)
+    assert len(centers) == 5
+
+
+TABLES = {
+    "geometry-identities": ["fs_metric_stencil.csv", "overlap_distance.csv"],
+    "dynamics-checks": ["decomposition.csv", "trajectory.csv"],
+    "reconstruct": ["reconstruct.csv"],
+    "born-diffusion": ["born_histogram.csv", "born_masses.csv"],
+    "solid-com": ["solid_scaling.csv"],
+}
+
+
+def test_sections_compute_and_write_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(None, {"walkers": 2000})
+    assert list(SECTIONS) == list(TABLES)
+    for name, section in SECTIONS.items():
+        report = section(cfg)
+        assert report.experiment == name
+        assert sorted(report.tables) == TABLES[name]
+    assert list(tmp_path.iterdir()) == []
+
+
+def _raise(exc):
+    def section(cfg):
+        raise exc
+    return section
+
+
+def test_failing_section_keeps_the_others(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(SECTIONS, "reconstruct", _raise(RuntimeError("boom")))
+    code, out = run(tmp_path, "all", "--walkers", "2000")
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    assert "section error in reconstruct: RuntimeError: boom" in err
+    report = json.loads((out / "report.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    for section in TABLES:
+        if section != "reconstruct":
+            assert any(n.startswith(f"{section}/") for n in names), section
+    error = [c for c in report["checks"] if c["name"] == "reconstruct/section-error"]
+    assert error == [{"name": "reconstruct/section-error", "value": 1.0, "reference": 0.0,
+                      "tolerance": 0.0, "pass": False, "mode": "upper",
+                      "note": "RuntimeError: boom"}]
+    assert not any(n.startswith("reconstruct/") and n != "reconstruct/section-error"
+                   for n in names)
+    assert report["overall_pass"] is False
+    expected = sorted(f for s, files in TABLES.items() if s != "reconstruct" for f in files)
+    assert report["artifacts"] == expected
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected + ["report.json"])
+
+
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError("boom"), 4),
+    (NumericalBreakdownError("singular"), 3),
+    (ValidationError("no horizon"), 2),
+])
+def test_failing_section_alone_is_reported(tmp_path, monkeypatch, capsys, exc, code):
+    monkeypatch.setitem(SECTIONS, "reconstruct", _raise(exc))
+    got, out = run(tmp_path, "reconstruct")
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    assert f"section error in reconstruct: {type(exc).__name__}: {exc}" in err
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["section-error"]
+    assert report["artifacts"] == []

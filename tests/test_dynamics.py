@@ -392,7 +392,7 @@ def test_noisy_packet_width_bound_equals_base(phys):
                           packet_width_bound(t, SIGMA, base, phys))
 
 
-def test_run_dynamics_propagates_each_trajectory_once(tmp_path, monkeypatch):
+def test_run_dynamics_propagates_each_trajectory_once(monkeypatch):
     # on the default config the configured trajectory is the canonical
     # harmonic one, so only it and the free trajectory are propagated
     calls = []
@@ -403,5 +403,5 @@ def test_run_dynamics_propagates_each_trajectory_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(dyn, "wavepacket_trajectory", counting)
-    run_dynamics(ExperimentConfig({}), tmp_path)
+    run_dynamics(ExperimentConfig({}))
     assert calls == [PotentialSpec.harmonic(1.0), PotentialSpec.free()]

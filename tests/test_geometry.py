@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from statelab import (
-    GaussianParams, KernelSpace, PhaseSpacePoint, StateVector,
+    GaussianParams, KernelSpace, StateVector,
     completeness_rank, delta_path_projection, embed_point,
-    expect_p, fs_distance, fs_metric_restriction_check, grid_delta,
+    expect_p, fs_distance, fs_metric_restriction_check, gram_matrix, grid_delta,
     h_norm_velocity, inner_l2, kernel_inner, realize, spread_direction,
     tangent_basis,
 )
@@ -137,8 +137,8 @@ def test_overlap_distance_identity(grid, ks):
 
 def test_ray_invariance_of_phase_space_point(grid, ks):
     q = GaussianParams(0.3, 1.1, SIGMA)
-    f = PhaseSpacePoint(q, 0.0).state(grid)
-    g = PhaseSpacePoint(q, 2.1).state(grid)
+    f = StateVector(grid, np.exp(1j * 0.0) * realize(q, grid).values)
+    g = StateVector(grid, np.exp(1j * 2.1) * realize(q, grid).values)
     assert fs_distance(f, g) == pytest.approx(0.0, abs=1e-7)
     h = embed_point(1.5, ks)
     assert fs_distance(f, h) == pytest.approx(fs_distance(g, h), abs=1e-10)
@@ -249,3 +249,14 @@ def test_fs_metric_restriction_zero_displacement(grid):
 def test_completeness_rank_proxy(ks):
     rank, m = completeness_rank(ks)
     assert rank >= 0.9 * m
+
+
+def test_gram_matrix_matches_pairwise_inner_products(ks):
+    # the pairwise loop is the reference; one matrix product reorders the
+    # sums, so entries (of size <= 1) may differ by a few ulps per term
+    centers = np.array([-3.0, -0.4, 0.0, 0.3, 1.25, 5.0])
+    G = gram_matrix(centers, ks)
+    states = [embed_point(float(a), ks) for a in centers]
+    for i, f in enumerate(states):
+        for j, g in enumerate(states):
+            assert abs(G[i, j] - inner_l2(f, g)) < 1e-13

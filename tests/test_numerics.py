@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from statelab import (
-    Grid, RngStream, StateVector, dft, idft, inner_l2, make_grid, quadrature,
+    Grid, RngStream, StateVector, dft, idft, inner_l2, quadrature,
 )
 from statelab.geometry import GaussianParams, realize
 
@@ -16,18 +16,18 @@ def _packet(grid, a, p=0.0, sigma=0.5):
     return realize(GaussianParams(a, p, sigma), grid)
 
 
-def test_make_grid_examples():
-    g = make_grid(64, -8, 8, True)
+def test_grid_examples():
+    g = Grid(64, -8, 8, True)
     assert g.dx == pytest.approx(0.25, abs=0)
-    g2 = make_grid(2, 0, 1, True)
+    g2 = Grid(2, 0, 1, True)
     assert g2.dx == pytest.approx(0.5, abs=0)
 
 
-def test_make_grid_rejects_bad_input():
+def test_grid_rejects_bad_input():
     with pytest.raises(ValueError):
-        make_grid(0, 0, 1, True)
+        Grid(0, 0, 1, True)
     with pytest.raises(ValueError):
-        make_grid(64, 1, 0, True)
+        Grid(64, 1, 0, True)
 
 
 def test_quadrature_of_constant_is_domain_length(grid):
