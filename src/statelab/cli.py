@@ -106,6 +106,13 @@ def _reject_non_finite(node, path: str = "") -> None:
         raise ValidationError(f"{path} must be a finite number, not {node!r}")
 
 
+def _integer(value, path: str) -> int:
+    # int() would run 1.5 and true as 1; an integer field takes neither
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path} must be an integer, not {value!r}")
+    return value
+
+
 def _potential_from_config(d: dict, seed: int) -> PotentialSpec:
     kind = d.get("kind", "free")
     if kind == "free":
@@ -145,7 +152,8 @@ class ExperimentConfig:
             raise ValidationError(
                 "grid.periodic must be true: the propagator and the grid deltas are spectral")
         try:
-            self.grid = Grid(int(g["n_points"]), float(g["x_min"]), float(g["x_max"]), True)
+            self.grid = Grid(_integer(g["n_points"], "grid.n_points"),
+                             float(g["x_min"]), float(g["x_max"]), True)
         except ValueError as exc:
             raise ValidationError(f"invalid grid: {exc}") from exc
         if self.grid.n_points < 64:
@@ -163,7 +171,7 @@ class ExperimentConfig:
                 "grid must span more than 36 kernel widths: born-diffusion places up to "
                 "5 centers 6 sigma apart inside 6 sigma margins")
         self.kernel = KernelSpace(self.grid, sigma)
-        self.seed = int(merged["seed"])
+        self.seed = _integer(merged["seed"], "seed")
         self.potential = _potential_from_config(merged["potential"], self.seed)
         # start packet of the trajectory checks, which must pass the
         # propagator's step guard under the configured potential
@@ -177,11 +185,13 @@ class ExperimentConfig:
         d = merged["diffusion"]
         try:
             self.diffusion = diff.DiffusionConfig(
-                int(d["n_walkers"]), float(d["tau"]), float(d["diffusion_sigma"]),
-                RngStream(self.seed, 10))
+                _integer(d["n_walkers"], "diffusion.n_walkers"),
+                float(d["tau"]), float(d["diffusion_sigma"]), RngStream(self.seed, 10))
         except ValueError as exc:
             raise ValidationError(f"invalid diffusion config: {exc}") from exc
-        self.out_dir = merged.get("out_dir")
+        self.out_dir = merged["out_dir"]
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValidationError(f"out_dir must be a string or null, not {self.out_dir!r}")
         self.echo = merged
 
     def stream(self, stream_id: int) -> RngStream:

@@ -161,8 +161,10 @@ class RngStream:
     """Counter-based random stream: (master_seed, stream_id) fixes the sequence.
 
     Equal (master_seed, stream_id) pairs reproduce bit-identical draws;
-    distinct stream ids give statistically independent streams.  Built on
-    Philox, so derived ensembles are order-independent.
+    distinct stream ids give statistically independent streams.  generator()
+    is Philox, so derived ensembles are order-independent; only the walker
+    blocks of diffusion.solid_com_diffusion key an SFC64 generator from a
+    stream instead, for speed.
     """
 
     master_seed: int

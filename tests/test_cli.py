@@ -220,6 +220,40 @@ def test_superposition_lattice_checked_at_validation(tmp_path, capsys):
     assert len(centers) == 5
 
 
+@pytest.mark.parametrize("data, path", [
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"grid": {"n_points": 256.0}}, "grid.n_points"),
+    ({"diffusion": {"n_walkers": 1000.7}}, "diffusion.n_walkers"),
+], ids=["seed", "seed-bool", "n_points", "n_walkers"])
+def test_integer_field_must_be_an_integer(tmp_path, capsys, data, path):
+    # int() would have run 1.5 and true as 1, and 1000.7 walkers as 1000
+    code, out = run(tmp_path, "geometry-identities", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path} must be an integer" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_out_dir_must_be_a_string_or_null(tmp_path, capsys):
+    # validated even when --out would override it
+    code, out = run(tmp_path, "geometry-identities", "--config",
+                    write_config(tmp_path, {"out_dir": 5}))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "out_dir must be a string or null" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_negative_seed_runs_solid_com(tmp_path):
+    # the solid-com block generators mask the seed to 64 bits, as RngStream does
+    code, out = run(tmp_path, "solid-com", "--seed", "-5", "--walkers", "2000")
+    assert code == 0
+    assert (out / "solid_scaling.csv").exists()
+
+
 TABLES = {
     "geometry-identities": ["fs_metric_stencil.csv", "overlap_distance.csv"],
     "dynamics-checks": ["decomposition.csv", "trajectory.csv"],

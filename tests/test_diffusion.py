@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,29 @@ def test_solid_blocks_are_thread_count_invariant(monkeypatch):
     single = solid_com_diffusion(10, 0.5, c)
     assert pools == [min(diffusion._BLOCKS, cores), 1]
     assert single == default
+
+
+def test_solid_kick_memory_is_one_buffer_per_block(monkeypatch):
+    # 20,000 walkers x 1000 cells are 160 MB of kicks per step; on one worker
+    # only one ~1 MiB buffer and the displacements are alive at a time
+    monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: {0})
+    tracemalloc.start()
+    try:
+        solid_com_diffusion(1000, 0.5, cfg(n=20_000, stream_id=16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("normals", [1, 10**6])
+def test_solid_kick_chunks_leave_the_estimate_unchanged(monkeypatch, normals):
+    # blocks of 375-376 walkers over 1000 cells take three chunks by default,
+    # one row per chunk at 1 normal and the whole block at 10**6
+    c = cfg(n=3001, stream_id=17)
+    default = solid_com_diffusion(1000, 0.5, c)
+    monkeypatch.setattr(diffusion, "_KICK_BUFFER_NORMALS", normals)
+    assert solid_com_diffusion(1000, 0.5, c) == default
 
 
 @pytest.mark.parametrize("n_walkers", [1001, 3])
