@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""False-alarm rate of born-diffusion's statistical checks over a seed range.
+
+Runs the born-diffusion section of the default config (correct sampling, 1e5
+walkers) at every seed and counts the seeds where it fails, once for its own
+checks and once with its two pooled tests swapped for the statistics they
+replaced: the largest binomial z-score of a component mass against 3 and the
+largest per-case Kolmogorov-Smirnov statistic against the 1% level,
+1.628 / sqrt(n), both read back from born_masses.csv.  Each rate is printed
+with its Clopper-Pearson 95% interval, followed by the seeds each failing
+check failed on; every check of the section counts, not only the
+statistical pair.  The exit code is 1 when the lower end
+of the interval for the section's own checks lies above the declared family
+rate of 1%, so the check fails only where the excess is significant.
+
+    PYTHONPATH=src python scripts/born_false_alarms.py               # seeds 0-399
+    PYTHONPATH=src python scripts/born_false_alarms.py --seeds 0 200 # seeds 0-199
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+from scipy.special import betaincinv
+
+from statelab.cli import load_config, run_born_diffusion
+
+FAMILY_RATE = 0.01          # two checks at alpha = 0.005 each
+POOLED = ("born-component-mass-chi2", "born-arrival-ks-pooled")
+
+
+def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
+    tail = (1.0 - level) / 2.0
+    lo = betaincinv(k, n - k + 1, tail) if k > 0 else 0.0
+    hi = betaincinv(k + 1, n - k, 1.0 - tail) if k < n else 1.0
+    return float(lo), float(hi)
+
+
+def failing_checks(seed: int) -> tuple[list[str], list[str]]:
+    """Names of the checks that fail at this seed: the section's own, and
+    those with the pooled pair swapped for the replaced max statistics."""
+    rep = run_born_diffusion(load_config(None, {"seed": seed}))
+    new = [c.name for c in rep.checks if not c.passed]
+    header, rows = rep.tables["born_masses.csv"]
+    z = np.array([r[header.index("z_score")] for r in rows])
+    ks = np.array([r[header.index("case_ks_statistic")] for r in rows])
+    n = rep.config["diffusion"]["n_walkers"]
+    old = [name for name in new if name not in POOLED]
+    if np.max(np.abs(z)) > 3.0:
+        old.append("born-component-mass-max-z")
+    if np.max(ks) > 1.628 / np.sqrt(n):
+        old.append("born-ks-statistic-max")
+    return new, old
+
+
+def summarize(label: str, failures: dict[int, list[str]], n: int) -> float:
+    """Print the failure rate with its interval and per-check failing seeds;
+    returns the lower end of the interval."""
+    k = sum(1 for names in failures.values() if names)
+    lo, hi = clopper_pearson(k, n)
+    print(f"{label}: {k} of {n} seeds fail, rate {k / n:.4f}, "
+          f"95% interval [{lo:.4f}, {hi:.4f}]")
+    for name in sorted({m for names in failures.values() for m in names}):
+        seeds = [s for s, names in failures.items() if name in names]
+        print(f"  {name}: {len(seeds)} {seeds}")
+    return lo
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs=2, default=(0, 400), metavar=("FIRST", "STOP"),
+                        help="seed range [FIRST, STOP)")
+    args = parser.parse_args(argv)
+    seeds = range(*args.seeds)
+    new, old = {}, {}
+    for seed in seeds:
+        new[seed], old[seed] = failing_checks(seed)
+    print(f"born-diffusion at seeds {seeds.start}-{seeds.stop - 1}, default config")
+    lo = summarize(f"with {' and '.join(POOLED)} (declared family rate {FAMILY_RATE:g})",
+                   new, len(seeds))
+    summarize("with the replaced max z > 3 and max per-case KS > 1% level", old, len(seeds))
+    if lo > FAMILY_RATE:
+        print(f"FAIL: the false-alarm rate is above {FAMILY_RATE:g} "
+              f"(its interval starts at {lo:.4f})")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

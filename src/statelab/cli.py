@@ -219,6 +219,17 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(data)
 
 
+def _check_born_width(cfg: ExperimentConfig) -> None:
+    """The Born checks compare arrivals N(b, diffusion_sigma^2) with |phi_b|^2,
+    whose width is kernel.sigma, so born-diffusion needs the two equal;
+    solid-com and the PDE check take any width."""
+    sigma, sigma_d = cfg.kernel.sigma, cfg.diffusion.diffusion_sigma
+    if abs(sigma_d - sigma) > 1e-12 * sigma:
+        raise ValidationError(
+            f"diffusion.diffusion_sigma ({sigma_d!r}) must equal kernel.sigma ({sigma!r}) "
+            "for born-diffusion: the Born identity holds only for equal widths")
+
+
 def _worker_count() -> int:
     """Worker threads for ``all``: STATELAB_THREADS, or automatic when unset."""
     env = os.environ.get("STATELAB_THREADS", "").strip()
@@ -488,6 +499,11 @@ def run_reconstruct(cfg: ExperimentConfig) -> Report:
     return rep
 
 
+# false-alarm rate of each of born-diffusion's two statistical checks; the
+# pair fails correct sampling on at most 2 alpha of seeds
+_BORN_ALPHA = 0.005
+
+
 def run_born_diffusion(cfg: ExperimentConfig) -> Report:
     rep = Report("born-diffusion", cfg.echo)
     ks, dcfg = cfg.kernel, cfg.diffusion
@@ -498,31 +514,34 @@ def run_born_diffusion(cfg: ExperimentConfig) -> Report:
     var_dev = float(np.max(np.abs(pde.variances / pde.expected_variances - 1.0)))
     rep.add(check_upper("pde-variance-additivity-rel-dev", var_dev, 0.05))
 
-    ks_crit = 1.628 / np.sqrt(dcfg.n_walkers)   # Kolmogorov 1% level
-    worst_l1 = worst_z = worst_ks = 0.0
-    mass_rows, hist_rows = [], []
+    worst_l1 = 0.0
+    estimates, mass_rows, hist_rows = [], [], []
     for case in range(10):
         psi, centers, weights = diff.random_superposition(ks, cfg.stream(11).child(case))
         est = diff.simulate_state_diffusion(
             psi, dataclasses.replace(dcfg, stream=cfg.stream(12).child(case)), ks, centers=centers)
+        estimates.append(est)
         worst_l1 = max(worst_l1, est.l1_error)
-        worst_ks = max(worst_ks, est.ks_statistic)
         for j, (w, mass) in enumerate(zip(est.expected_weights, est.component_masses)):
             sd = np.sqrt(w * (1.0 - w) / est.n_walkers)
-            z = abs(mass - w) / sd if sd > 0 else 0.0
-            worst_z = max(worst_z, z)
-            mass_rows.append((case, j, centers[j], w, mass, sd))
+            z = (mass - w) / sd if sd > 0 else 0.0
+            mass_rows.append((case, j, centers[j], w, mass, sd, z, est.ks_statistic))
         if case == 0:
             hist_rows = list(zip(est.bin_edges[:-1], est.bin_edges[1:], est.counts,
                                  est.density, est.reference_density))
     rep.add(check_upper("born-l1-error-max", worst_l1, 0.02,
                         note="total-variation distance to |psi|^2, 10 superpositions"))
-    rep.add(check_upper("born-component-mass-max-z", worst_z, 3.0,
-                        note="binomial standard deviations"))
-    rep.add(check_upper("born-ks-statistic-max", worst_ks, ks_crit,
-                        note="Kolmogorov-Smirnov at the 1% level"))
+    chi2, df, chi2_bound = diff.component_mass_chi2(estimates, _BORN_ALPHA)
+    rep.add(check_upper("born-component-mass-chi2", chi2, chi2_bound,
+                        note=f"Pearson chi2 of the component counts, df {df}, "
+                             f"alpha {_BORN_ALPHA:g}"))
+    ks_pooled, ks_bound = diff.pooled_arrival_ks(estimates, _BORN_ALPHA)
+    rep.add(check_upper("born-arrival-ks-pooled", ks_pooled, ks_bound,
+                        note="Kolmogorov-Smirnov of the arrivals, each through its own "
+                             f"component's law, pooled over 10 superpositions, alpha {_BORN_ALPHA:g}"))
     rep.tables["born_masses.csv"] = (["case", "component", "center", "expected_weight",
-                                      "observed_mass", "binomial_sd"], mass_rows)
+                                      "observed_mass", "binomial_sd", "z_score",
+                                      "case_ks_statistic"], mass_rows)
     rep.tables["born_histogram.csv"] = (["bin_left", "bin_right", "count", "density",
                                          "reference_density"], hist_rows)
 
@@ -638,6 +657,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, vars(args))
+        if args.subcommand in ("born-diffusion", "all"):
+            _check_born_width(cfg)
         workers = _worker_count()
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,7 +5,10 @@ each walker picks a component with probability given by its squared
 coefficient, starts at that component's center, and random-walks for the
 observation time.  The stationary arrival statistics reproduce |psi(a)|^2,
 the transition density depends only on the Fubini-Study distance, and the
-center-of-mass diffusion of an n-cell solid is suppressed as 1/n.
+center-of-mass diffusion of an n-cell solid is suppressed as 1/n.  Two
+tests at a stated false-alarm rate judge several ensembles at once: a
+Pearson chi^2 of the component counts and one Kolmogorov-Smirnov test of the
+pooled arrivals, each mapped through its own component's law.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import chdtri, erf, kolmogi, ndtr
 
 from .numerics import NumericalBreakdownError, RngStream, StateVector, inner_l2, quadrature
 from .geometry import KernelSpace, embed_point
@@ -71,6 +74,10 @@ class DensityEstimate:
     component_masses: np.ndarray
     expected_weights: np.ndarray
     n_walkers: int
+    # Phi((x_i - b_j(i)) / diffusion_sigma) over the walkers, sorted: each
+    # arrival through the law of the component it started from, a sample of
+    # U(0, 1) for a correct sampler
+    arrival_uniforms: np.ndarray
 
 
 def decompose_state(psi: StateVector, ks: KernelSpace, spacing: float,
@@ -140,9 +147,12 @@ def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
 
 def _mixture_cdf(centers: np.ndarray, weights: np.ndarray, scale: float,
                  xs: np.ndarray) -> np.ndarray:
-    """CDF of the component mixture sum_j w_j Normal(b_j, scale^2)."""
-    z = (xs[None, :] - centers[:, None]) / (np.sqrt(2.0) * scale)
-    return weights @ (0.5 * (1.0 + erf(z)))
+    """CDF of the component mixture sum_j w_j Normal(b_j, scale^2), summed one
+    component at a time so that no (components x points) array is built."""
+    out = np.zeros_like(xs)
+    for b, w in zip(centers, weights):
+        out += w * ndtr((xs - b) / scale)
+    return out
 
 
 def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelSpace,
@@ -156,9 +166,9 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelS
     reference density |psi(a)|^2: l1_error is the total-variation distance
     between the binned probability masses.  ks_statistic is the raw-sample
     Kolmogorov-Smirnov distance against the exact sampling law (the component
-    mixture), which the 1% critical value applies to; against |psi|^2 the
-    near-orthogonality cross terms alone would exceed KS resolution at 1e5
-    walkers.
+    mixture); against |psi|^2 the near-orthogonality cross terms alone would
+    exceed KS resolution at 1e5 walkers.  arrival_uniforms feed
+    pooled_arrival_ks, and component_masses component_mass_chi2.
     """
     if spacing is None:
         spacing = 6.0 * ks.sigma
@@ -168,13 +178,7 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelS
             f"state decomposition is not near-orthogonal "
             f"(max overlap {dec.max_offdiag_overlap:.3f} >= 0.05)")
 
-    cum = np.cumsum(dec.weights)
-    cum[-1] = 1.0
-    u = cfg.stream.child(0).generator().random(cfg.n_walkers)
-    comp = np.searchsorted(cum, u)
-    starts = dec.centers[comp]
-    noise = cfg.stream.child(1).generator().standard_normal(cfg.n_walkers)
-    finals = starts + cfg.diffusion_sigma * noise
+    comp, finals = _draw_arrivals(dec.centers, dec.weights, cfg)
 
     occupied = dec.centers[dec.weights > 1e-12]
     lo = occupied.min() - 6.0 * ks.sigma
@@ -198,10 +202,68 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelS
                                       np.abs((i - 1) / cfg.n_walkers - ref_cdf))))
 
     masses = np.bincount(comp, minlength=len(dec.centers)) / cfg.n_walkers
+    uniforms = ndtr((finals - dec.centers[comp]) / cfg.diffusion_sigma)
+    uniforms.sort()
     return DensityEstimate(
         bin_edges=edges, counts=counts, density=density,
         reference_density=ref_mass / width, l1_error=float(l1), ks_statistic=ks_stat,
-        component_masses=masses, expected_weights=dec.weights, n_walkers=cfg.n_walkers)
+        component_masses=masses, expected_weights=dec.weights, n_walkers=cfg.n_walkers,
+        arrival_uniforms=uniforms)
+
+
+def _draw_arrivals(centers: np.ndarray, weights: np.ndarray, cfg: DiffusionConfig):
+    """The sampler: each walker's component j, drawn with probability w_j,
+    and its arrival b_j + diffusion_sigma * N(0, 1)."""
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    u = cfg.stream.child(0).generator().random(cfg.n_walkers)
+    comp = np.searchsorted(cum, u)
+    noise = cfg.stream.child(1).generator().standard_normal(cfg.n_walkers)
+    return comp, centers[comp] + cfg.diffusion_sigma * noise
+
+
+def component_mass_chi2(estimates: Sequence[DensityEstimate], alpha: float):
+    """Pearson chi^2 of every ensemble's component counts O against n w,
+    sum (O - n w)^2 / (n w), with df = sum (m_c - 1); returns (statistic,
+    df, the chi^2 quantile that correct sampling exceeds with probability
+    alpha).  A component expecting fewer than 5 walkers is merged into its
+    ensemble's largest component, which takes one off df."""
+    stat, df = 0.0, 0
+    for est in estimates:
+        expected = est.n_walkers * est.expected_weights
+        observed = np.rint(est.component_masses * est.n_walkers)
+        small = expected < 5.0
+        big = int(np.argmax(expected))
+        small[big] = False
+        expected[big] += expected[small].sum()
+        observed[big] += observed[small].sum()
+        expected, observed = expected[~small], observed[~small]
+        stat += float(np.sum((observed - expected) ** 2 / expected))
+        df += len(expected) - 1
+    return stat, df, float(chdtri(df, alpha)) if df else 0.0
+
+
+def pooled_arrival_ks(estimates: Sequence[DensityEstimate], alpha: float):
+    """One Kolmogorov-Smirnov test of every ensemble's arrival_uniforms,
+    pooled, against U(0, 1); returns (statistic, the asymptotic level-alpha
+    critical value kolmogi(alpha) / sqrt(N)).  Each arrival is mapped
+    through its own component's law, so a shape error cannot cancel between
+    ensembles as it can through the mixture CDF.  The pooled order
+    statistics are formed one sixteenth of (0, 1) at a time from the sorted
+    samples, so no copy of the pool is held."""
+    parts = [est.arrival_uniforms for est in estimates]
+    n = sum(len(u) for u in parts)
+    cuts = [np.concatenate([[0], np.searchsorted(u, np.arange(1, 16) / 16), [len(u)]])
+            for u in parts]
+    stat, below = 0.0, 0
+    for s in range(16):
+        slab = np.sort(np.concatenate([u[c[s]:c[s + 1]] for u, c in zip(parts, cuts)]))
+        if len(slab):
+            # ranks below + 1 .. below + len(slab) in the pool
+            i = np.arange(below + 1, below + len(slab) + 1)
+            stat = max(stat, float(np.max(i / n - slab)), float(np.max(slab - (i - 1) / n)))
+            below += len(slab)
+    return stat, float(kolmogi(alpha) / np.sqrt(n))
 
 
 def density_functional(phi: StateVector, psi: StateVector, sigma: float,

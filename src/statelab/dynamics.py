@@ -1,10 +1,17 @@
 """Wave-packet propagation, Newtonian integration and velocity-of-state analysis.
 
 The propagator is Strang split-step spectral (exactly unitary per step,
-second order in dt).  Classical trajectories use symplectic leapfrog.  The
-velocity-of-state decomposition projects d(phi)/dt onto the fibre direction,
-the two phase-space tangent directions and the spreading direction; the four
-squared components sum to the squared speed of the state.
+second order in dt; Feit, Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).
+Each propagation allocates one work buffer: the half kicks and the kinetic
+phase are products written into it, and scipy.fft's complex-to-complex
+transforms overwrite it, with each product's operand order that of
+exp_v2 * ifft(exp_kin * fft(exp_v2 * vals)), so the bits are that
+expression's.  Classical trajectories use symplectic leapfrog, with the
+force evaluated on Python floats through the same polynomial evaluator as
+the grid values.  The velocity-of-state decomposition projects d(phi)/dt
+onto the fibre direction, the two phase-space tangent directions and the
+spreading direction; the four squared components sum to the squared speed
+of the state.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.polynomial import polyder
 
-from .numerics import Grid, RngStream, StateVector, inner_l2, quadrature, spectral_derivative
+from .numerics import (Grid, RngStream, StateVector, fft, inner_l2, quadrature,
+                       spectral_derivative)
 from .geometry import GaussianParams, realize, tangent_basis, spread_direction
 
 
@@ -31,14 +40,17 @@ class PhysicsParams:
 
 
 def _polynomial(coeffs, u):
-    """sum_k coeffs[k] u^k over the nonzero terms; each term is formed as
-    c * u^k, so a one-term V costs what its closed form costs."""
+    """sum_k coeffs[k] u^k over the nonzero terms, on an array or a Python
+    float; each term is formed as c * u**k, so a one-term V costs what its
+    closed form costs."""
     out = None
     for k, c in enumerate(coeffs):
         if c:
-            term = np.full_like(u, c) if k == 0 else c * u if k == 1 else c * u ** k
+            term = c * u ** k
             out = term if out is None else out + term
-    return np.zeros_like(u) if out is None else out
+    if out is None:
+        return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,7 @@ def apply_hamiltonian(psi: StateVector, V: PotentialSpec, phys: PhysicsParams) -
 
 
 def _occupied_bandwidth(psi: StateVector, rel_floor: float = 1e-12) -> float:
-    spectrum = np.abs(np.fft.fft(psi.values))
+    spectrum = np.abs(fft(psi.values))
     mask = spectrum > rel_floor * spectrum.max()
     return float(np.max(np.abs(psi.grid.wavenumbers[mask])))
 
@@ -195,14 +207,20 @@ def _run_steps(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     static = V.noise_stream is None
     if static:
         exp_v2 = np.exp(-1j * v_static * dt / (2.0 * phys.hbar))
+    # vals and work belong to this call, so the transforms may overwrite work
     vals = psi.values.copy()
+    work = np.empty_like(vals)
     records = []
     if record_every:
         records.append((0.0, expect_x(psi), expect_p(psi, phys)))
     for s in range(n_steps):
         if not static:
             exp_v2 = np.exp(-1j * (v_static + slopes[s] * g.x) * dt / (2.0 * phys.hbar))
-        vals = exp_v2 * np.fft.ifft(exp_kin * np.fft.fft(exp_v2 * vals))
+        np.multiply(exp_v2, vals, out=work)
+        work = scipy.fft.fft(work, overwrite_x=True)
+        np.multiply(exp_kin, work, out=work)
+        work = scipy.fft.ifft(work, overwrite_x=True)
+        np.multiply(exp_v2, work, out=vals)
         if record_every and ((s + 1) % record_every == 0 or s == n_steps - 1):
             cur = StateVector(g, vals)
             records.append(((s + 1) * dt, expect_x(cur), expect_p(cur, phys)))
@@ -228,23 +246,29 @@ def newton_integrate(a0: float, p0: float, V: PotentialSpec, phys: PhysicsParams
     Returns (times, positions, momenta) including the initial point.  Noisy
     potentials contribute the same per-step random slopes the propagator
     uses (piecewise-constant force), so packet and point see one noise
-    realization.
+    realization.  The steps run on Python floats: a polynomial V' goes
+    through the same evaluator as value_at, and a tabulated one interpolates
+    a V' table built once per call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
-    slopes = V.noise_slopes(n_steps)
-    t = dt_eff * np.arange(n_steps + 1)
-    a = np.empty(n_steps + 1)
-    p = np.empty(n_steps + 1)
-    a[0], p[0] = a0, p0
-    force = lambda x, s: -float(V.value_at(x, grid, order=1)) - slopes[s]
+    slopes = V.noise_slopes(n_steps).tolist()
+    if V.samples is None:
+        d1, center = V._derivatives[1], V.center
+        vprime = lambda x: _polynomial(d1, x - center)
+    else:
+        if grid is None:
+            raise ValueError("tabulated potential needs the grid for point evaluation")
+        xs, table = grid.x, V.values(grid, order=1)
+        vprime = lambda x: float(np.interp(x, xs, table))
+    a, p = [float(a0)], [float(p0)]
     for s in range(n_steps):
-        p_half = p[s] + 0.5 * dt_eff * force(a[s], s)
-        a[s + 1] = a[s] + dt_eff * p_half / phys.mass
-        p[s + 1] = p_half + 0.5 * dt_eff * force(a[s + 1], s)
-    return t, a, p
+        p_half = p[s] + 0.5 * dt_eff * (-vprime(a[s]) - slopes[s])
+        a.append(a[s] + dt_eff * p_half / phys.mass)
+        p.append(p_half + 0.5 * dt_eff * (-vprime(a[s + 1]) - slopes[s]))
+    return dt_eff * np.arange(n_steps + 1), np.array(a), np.array(p)
 
 
 def packet_width_bound(t, sigma: float, V: PotentialSpec, phys: PhysicsParams) -> np.ndarray:

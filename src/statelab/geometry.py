@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid, StateVector, inner_l2, spectral_derivative
+from .numerics import Grid, StateVector, fft, ifft, inner_l2, spectral_derivative
 
 DEFAULT_SIGMA = 0.5
 
@@ -52,7 +52,7 @@ class KernelSpace:
         """integral profile(y - x) f(x) dx, via circulant FFT convolution."""
         g = self.grid
         row = profile(g.wrap(g.x - g.x[0]))
-        return StateVector(g, np.fft.ifft(np.fft.fft(row) * np.fft.fft(f.values)) * g.dx)
+        return StateVector(g, ifft(fft(row) * fft(f.values)) * g.dx)
 
     def kernel_matrix(self) -> np.ndarray:
         """Dense k(x_i, x_j) with minimal-image distances; symmetric, unit diagonal."""

@@ -4,6 +4,14 @@ Everything downstream (kernel geometry, propagation, Monte Carlo) is built on
 the uniform periodic grid defined here.  All types are immutable after
 construction and all operations are pure functions, so they are safe to share
 across threads.
+
+Every FFT of the package goes through :func:`fft` and :func:`ifft`: they cast
+their input to complex128 and run ``scipy.fft``'s complex-to-complex
+transform, whose bits equal ``numpy.fft``'s with numpy >= 2 (both are the C++
+pocketfft).  Real input is cast first because scipy's real-to-complex path
+rounds differently.  Only fftfreq and the shifts stay on numpy.  No buffer or
+plan is kept between calls; the split-step loop of dynamics calls
+``scipy.fft`` itself, overwriting a buffer it allocates per call.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -114,12 +123,22 @@ def _check_same_grid(f: StateVector, g: StateVector) -> None:
         raise ValueError("state vectors live on different grids")
 
 
+def fft(values) -> np.ndarray:
+    """Forward DFT with numpy's sign and scaling; the input is never written."""
+    return scipy.fft.fft(np.asarray(values, dtype=np.complex128))
+
+
+def ifft(values) -> np.ndarray:
+    """Inverse of :func:`fft`, with the 1/N factor."""
+    return scipy.fft.ifft(np.asarray(values, dtype=np.complex128))
+
+
 def spectral_derivative(f: StateVector, order: int = 1) -> StateVector:
     """Differentiate a band-limited state by multiplication in Fourier space."""
     if not f.grid.periodic:
         raise ValueError("spectral derivative requires a periodic grid")
     k = f.grid.wavenumbers
-    out = np.fft.ifft((1j * k) ** order * np.fft.fft(f.values))
+    out = ifft((1j * k) ** order * fft(f.values))
     return StateVector(f.grid, out)
 
 
@@ -136,7 +155,7 @@ def dft(f: StateVector, hbar: float = 1.0) -> StateVector:
         raise ValueError("dft requires a periodic grid")
     k = g.wavenumbers
     coef = g.dx / np.sqrt(2.0 * np.pi * hbar) * np.exp(-1j * k * g.x_min)
-    tilde = np.fft.fftshift(coef * np.fft.fft(f.values))
+    tilde = np.fft.fftshift(coef * fft(f.values))
     p = np.fft.fftshift(hbar * k)
     dp = 2.0 * np.pi * hbar / g.length
     pgrid = Grid(g.n_points, float(p[0]), float(p[0] + g.n_points * dp), periodic=True)
@@ -153,7 +172,7 @@ def idft(f_tilde: StateVector, xgrid: Grid, hbar: float = 1.0) -> StateVector:
     k = xgrid.wavenumbers
     coef = xgrid.dx / np.sqrt(2.0 * np.pi * hbar) * np.exp(-1j * k * xgrid.x_min)
     tilde = np.fft.ifftshift(f_tilde.values)
-    return StateVector(xgrid, np.fft.ifft(tilde / coef))
+    return StateVector(xgrid, ifft(tilde / coef))
 
 
 @dataclass(frozen=True)
@@ -161,17 +180,22 @@ class RngStream:
     """Counter-based random stream: (master_seed, stream_id) fixes the sequence.
 
     Equal (master_seed, stream_id) pairs reproduce bit-identical draws;
-    distinct stream ids give statistically independent streams.  generator()
-    is Philox, so derived ensembles are order-independent; only the walker
-    blocks of diffusion.solid_com_diffusion key an SFC64 generator from a
-    stream instead, for speed.
+    distinct pairs, after masking each part to 64 bits, give distinct
+    statistically independent streams.  generator() is Philox keyed by the
+    two masked parts as a uint64 array, so derived ensembles are
+    order-independent; only the walker blocks of
+    diffusion.solid_com_diffusion key an SFC64 generator from a stream
+    instead, for speed.
     """
 
     master_seed: int
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = (int(self.master_seed) & (2**64 - 1), int(self.stream_id) & (2**64 - 1))
+        # a uint64 array, not a tuple: numpy converts a tuple of Python ints
+        # through float64 once a part reaches 2**63, where distinct keys collide
+        key = np.array([int(self.master_seed) & (2**64 - 1),
+                        int(self.stream_id) & (2**64 - 1)], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":

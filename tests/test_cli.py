@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from statelab.cli import (
-    DEFAULT_CONFIG, SECTIONS, ExperimentConfig, ValidationError, _fit_horizon, load_config,
-    main,
+    DEFAULT_CONFIG, SECTIONS, ExperimentConfig, ValidationError, _check_born_width,
+    _fit_horizon, load_config, main,
 )
 from statelab.diffusion import random_superposition
 from statelab.dynamics import PotentialSpec, newton_integrate, packet_width_bound
@@ -319,3 +319,31 @@ def test_failing_section_alone_is_reported(tmp_path, monkeypatch, capsys, exc, c
     report = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in report["checks"]] == ["section-error"]
     assert report["artifacts"] == []
+
+
+@pytest.mark.parametrize("subcommand", ["born-diffusion", "all"])
+def test_born_width_mismatch_is_a_config_error(tmp_path, capsys, subcommand):
+    # the Born identity compares arrivals of width diffusion_sigma with
+    # packets of width kernel.sigma; this config used to fail the checks (exit 1)
+    cfgp = write_config(tmp_path, {"diffusion": {"diffusion_sigma": 5.0}})
+    code, out = run(tmp_path, subcommand, "--config", cfgp)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "diffusion.diffusion_sigma" in err and "kernel.sigma" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_born_width_within_round_off_is_accepted():
+    sigma = DEFAULT_CONFIG["kernel"]["sigma"]
+    _check_born_width(ExperimentConfig({"diffusion": {"diffusion_sigma": sigma * (1 + 1e-13)}}))
+    with pytest.raises(ValidationError):
+        _check_born_width(ExperimentConfig({"diffusion": {"diffusion_sigma": sigma * (1 + 1e-11)}}))
+
+
+@pytest.mark.parametrize("subcommand", ["solid-com", "geometry-identities"])
+def test_other_subcommands_accept_any_diffusion_width(tmp_path, subcommand):
+    cfgp = write_config(tmp_path, {"diffusion": {"diffusion_sigma": 5.0}})
+    code, out = run(tmp_path, subcommand, "--config", cfgp, "--walkers", "2000")
+    assert code == 0
+    assert (out / "report.json").exists()

@@ -150,3 +150,20 @@ def test_state_vector_normalization(grid):
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         StateVector(grid, np.zeros(grid.n_points)).normalized()
+
+
+@pytest.mark.parametrize("seed_a, seed_b", [(-5, -6), (2**63, 2**63 + 1)])
+def test_rng_stream_seeds_whose_keys_reach_2_63_draw_distinct_streams(seed_a, seed_b):
+    # as a tuple of Python ints, Philox took these keys through float64, where
+    # both parts of each pair collided
+    a = RngStream(seed_a, 3).generator().standard_normal(16)
+    b = RngStream(seed_b, 3).generator().standard_normal(16)
+    assert not np.array_equal(a, b)
+
+
+def test_rng_stream_keys_below_2_63_keep_their_draws():
+    # the default seed's streams, and a stream id just below 2**63
+    for seed, stream_id in ((20250809, 0), (20250809, 12), (20250809, 15), (3, 2**63 - 1)):
+        tuple_key = np.random.Generator(np.random.Philox(key=(seed, stream_id)))
+        assert np.array_equal(RngStream(seed, stream_id).generator().standard_normal(16),
+                              tuple_key.standard_normal(16))
