@@ -62,6 +62,14 @@ class KernelSpace:
         """Dense rho_sigma(x_i, x_j)."""
         return self._dense(self._smoothing)
 
+    def composition_deviation(self) -> np.ndarray:
+        """rho_sigma applied to rho_sigma's own grid row, minus the kernel
+        row: both operators are circulant, so this one row holds every
+        entry of (rho_sigma^T rho_sigma) dx - k."""
+        g = self.grid
+        d = g.wrap(g.x - g.x[0])
+        return self.smooth(StateVector(g, self._smoothing(d))).values - self._kernel(d)
+
     def apply_kernel(self, f: StateVector) -> StateVector:
         """(K f)(y) = integral k(y, x) f(x) dx."""
         return self._convolve(self._kernel, f)

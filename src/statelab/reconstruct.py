@@ -29,11 +29,12 @@ def ladder_lowering(n: int) -> np.ndarray:
 
 
 def position_momentum(n: int, phys: PhysicsParams, omega0: float = 1.0):
-    """Truncated X and P matrices for a basis oscillator of frequency omega0."""
+    """Truncated X (real) and P (imaginary) matrices for a basis oscillator of
+    frequency omega0."""
     a = ladder_lowering(n)
     X = np.sqrt(phys.hbar / (2.0 * phys.mass * omega0)) * (a + a.T)
     P = 1j * np.sqrt(phys.mass * omega0 * phys.hbar / 2.0) * (a.T - a)
-    return X.astype(complex), P
+    return X, P
 
 
 def matrix_polynomial(coeffs: Sequence[float], X: np.ndarray) -> np.ndarray:
@@ -209,29 +210,46 @@ def solve_hamiltonian(ops: OperatorTriple, phys: PhysicsParams) -> Reconstructio
                                 gauge_constant=gauge, block_error=block, interior=r)
 
 
+def constraint_laplacian(ops: OperatorTriple) -> np.ndarray:
+    """Gram matrix C^T C of the map H -> [H, P] on the trusted block,
+    restricted to the functions of X (the matrices commuting with X, which
+    has simple spectrum) and taken in X's eigenbasis.
+
+    There the commutator of the j-th eigenprojector with P is P's j-th row
+    minus its j-th column, so C^T C is the weighted graph Laplacian 2(D - W)
+    with W_ab = |Pe_ab|^2, Pe = P in X's eigenbasis, and D the row sums of W.
+    """
+    # imported here, like lsmr in solve_hamiltonian, so that importing
+    # statelab, which every CLI run pays for, does not load scipy.linalg
+    from scipy.linalg import eigh
+
+    r = ops.interior
+    P = ops.P[:r, :r]
+    evals, U = eigh(ops.X[:r, :r])
+    if np.min(np.diff(evals)) <= 1e-12 * (evals[-1] - evals[0]):
+        raise NumericalBreakdownError("X has a (near-)degenerate spectrum")
+    # Pe = U^H P.real U + i U^H P.imag U: real products for a real X
+    Uh = U.conj().T
+    W = np.abs(Uh @ P.real @ U + 1j * (Uh @ P.imag @ U)) ** 2
+    return 2.0 * (np.diag(W.sum(axis=1)) - W)
+
+
 def kernel_of_constraints(ops: OperatorTriple, tol: float = 1e-10) -> int:
     """Dimension of the Hermitian null space of H -> (i[H,X], i[H,P]) on the
     trusted block; the uniqueness statement predicts exactly 1 (multiples of
     the identity).
 
-    Computed in two stages: matrices commuting with X form the functions of X
-    (X has simple spectrum), and the surviving [., P] = 0 condition is an SVD
-    on that small commutant, taken in X's eigenbasis, where the commutator
-    of the j-th eigenprojector with P is P's j-th row minus its j-th column.
+    It is the null dimension of constraint_laplacian, the number of
+    connected components of the graph W.  An eigenvalue lambda of the
+    Laplacian is a squared singular value sigma^2 of the commutator map, and
+    lambda <= tol * lambda_max counts as null: the default 1e-10 is
+    sigma <= 1e-5 sigma_max.  For build_operators' ladder X and P at
+    n <= 128 the null eigenvalue is below 1e-16 lambda_max and the next (the
+    Fiedler value) at least 8e-3 lambda_max.  Every one of the r counts when
+    P vanishes on the block.
     """
-    r = ops.interior
-    X = ops.X[:r, :r]
-    P = ops.P[:r, :r]
-    evals, U = np.linalg.eigh(X)
-    if np.min(np.diff(evals)) <= 1e-12 * (evals[-1] - evals[0]):
-        raise NumericalBreakdownError("X has a (near-)degenerate spectrum")
-    Pe = U.conj().T @ P @ U
-    eye = np.eye(r)
-    # C[a, b, j] = (E_jj Pe - Pe E_jj)_ab = (delta_aj - delta_bj) Pe_ab
-    C = (eye[:, None, :] - eye[None, :, :]) * Pe[:, :, None]
-    C = C.reshape(r * r, r)
-    s = np.linalg.svd(np.concatenate([C.real, C.imag]), compute_uv=False)
-    return int(np.sum(s <= tol * s.max()))   # all r when P vanishes on the block
+    lam = np.linalg.eigvalsh(constraint_laplacian(ops))
+    return int(np.sum(lam <= tol * lam.max()))
 
 
 def evolve_expectation(H: np.ndarray, alpha: complex, phys: PhysicsParams,

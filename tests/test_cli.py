@@ -247,6 +247,24 @@ def test_out_dir_must_be_a_string_or_null(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("target", ["taken", "taken/sub"])
+def test_unusable_output_directory_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                      via_config, target):
+    # an existing file on the path used to escape as a FileExistsError traceback
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / target)
+    for name in SECTIONS:
+        monkeypatch.setitem(SECTIONS, name, _raise(AssertionError("section ran")))
+    argv = (["--config", write_config(tmp_path, {"out_dir": out})] if via_config
+            else ["--out", out])
+    code = main(["all"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: output directory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_negative_seed_runs_solid_com(tmp_path):
     # the solid-com block generators mask the seed to 64 bits, as RngStream does
     code, out = run(tmp_path, "solid-com", "--seed", "-5", "--walkers", "2000")

@@ -47,11 +47,19 @@ def test_kernel_space_rejects_bad_sigma(grid):
 
 def test_smoothing_composition_reproduces_kernel():
     from statelab import Grid
-    g = Grid(256, -16.0, 16.0)
-    ks = KernelSpace(g, SIGMA)
-    R = ks.smoothing_matrix()
-    K = ks.kernel_matrix()
-    assert np.abs((R.T @ R) * g.dx - K).max() < 1e-8
+    for n in (64, 256):
+        g = Grid(n, -16.0, 16.0)
+        ks = KernelSpace(g, SIGMA)
+        R = ks.smoothing_matrix()
+        K = ks.kernel_matrix()
+        dense = (R.T @ R) * g.dx - K
+        assert np.abs(dense).max() < 1e-8
+        # the dense difference is circulant, and the FFT row is its row 0
+        shifts = np.array([np.roll(dense[0], i) for i in range(n)])
+        assert np.abs(dense - shifts).max() < 1e-14
+        row = ks.composition_deviation()
+        assert np.abs(row - dense[0]).max() < 1e-14
+        assert np.abs(row).max() < 1e-8
 
 
 def test_smoothing_carries_delta_to_embedded_point(grid, ks):

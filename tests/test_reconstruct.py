@@ -8,7 +8,9 @@ from statelab import (
     wavepacket_trajectory,
 )
 from statelab.numerics import NumericalBreakdownError
-from statelab.reconstruct import evolve_expectation, reference_hamiltonian
+from statelab.reconstruct import (
+    constraint_laplacian, evolve_expectation, reference_hamiltonian,
+)
 
 
 def test_ladder_matrix_elements(phys):
@@ -104,6 +106,50 @@ def test_solve_detects_vanishing_momentum(phys):
 def test_kernel_of_constraints_dimension(phys, n):
     ops = build_operators(n, phys, [0.0, 0.0, 0.5])
     assert kernel_of_constraints(ops) == 1
+
+
+def _commutator_singular_values(ops):
+    """Singular values, ascending, of the map from the functions of X to
+    [., P] on the trusted block, by the SVD of its 2r^2 x r real matrix."""
+    r = ops.interior
+    _, U = np.linalg.eigh(ops.X[:r, :r])
+    Pe = U.conj().T @ ops.P[:r, :r] @ U
+    eye = np.eye(r)
+    # C[a, b, j] = (E_jj Pe - Pe E_jj)_ab = (delta_aj - delta_bj) Pe_ab
+    C = ((eye[:, None, :] - eye[None, :, :]) * Pe[:, :, None]).reshape(r * r, r)
+    return np.linalg.svd(np.concatenate([C.real, C.imag]), compute_uv=False)[::-1]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_constraint_laplacian_matches_the_commutator_svd(phys, n):
+    ops = build_operators(n, phys, [0.0, 0.0, 0.5])
+    lam = np.linalg.eigvalsh(constraint_laplacian(ops))
+    s = _commutator_singular_values(ops)
+    # the Laplacian's eigenvalues are the squared singular values
+    assert np.abs(lam - s ** 2).max() < 1e-14 * s.max() ** 2
+    assert np.abs(np.sqrt(lam[1:]) - s[1:]).max() < 1e-14 * s.max()
+    # one null direction under either threshold, and a wide gap above it
+    assert np.sum(s <= 1e-10 * s.max()) == np.sum(lam <= 1e-10 * lam.max()) == 1
+    assert lam[1] > 8e-3 * lam.max()
+
+
+def test_disconnected_momentum_graph_leaves_two_null_directions(phys):
+    # P with no matrix element between the lower and upper halves of X's
+    # eigenbasis: the graph W has two components, and the projectors onto
+    # the two halves (whose sum is the identity) both commute with X and P
+    ops = build_operators(16, phys, [0.0])
+    r = ops.interior
+    _, U = np.linalg.eigh(ops.X[:r, :r])
+    Pe = U.T @ ops.P[:r, :r] @ U
+    Pe[:r // 2, r // 2:] = Pe[r // 2:, :r // 2] = 0.0
+    P = np.zeros((16, 16), complex)
+    P[:r, :r] = U @ Pe @ U.T
+    split = OperatorTriple(n=16, buffer=4, X=ops.X, P=P, F=ops.F, v_coeffs=(0.0,))
+    assert kernel_of_constraints(split) == 2
+    s = _commutator_singular_values(split)
+    assert np.sum(s <= 1e-10 * s.max()) == 2
+    with pytest.raises(NumericalBreakdownError):
+        solve_hamiltonian(split, phys)
 
 
 def test_identity_always_in_kernel(phys):
