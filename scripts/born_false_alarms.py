@@ -2,16 +2,12 @@
 """False-alarm rate of born-diffusion's statistical checks over a seed range.
 
 Runs the born-diffusion section of the default config (correct sampling, 1e5
-walkers) at every seed and counts the seeds where it fails, once for its own
-checks and once with its two pooled tests swapped for the statistics they
-replaced: the largest binomial z-score of a component mass against 3 and the
-largest per-case Kolmogorov-Smirnov statistic against the 1% level,
-1.628 / sqrt(n), both read back from born_masses.csv.  Each rate is printed
-with its Clopper-Pearson 95% interval, followed by the seeds each failing
-check failed on; every check of the section counts, not only the
-statistical pair.  The exit code is 1 when the lower end
-of the interval for the section's own checks lies above the declared family
-rate of 1%, so the check fails only where the excess is significant.
+walkers) at every seed and counts the seeds where it fails.  The rate is
+printed with its Clopper-Pearson 95% interval, followed by the seeds each
+failing check failed on; every check of the section counts, not only the
+statistical pair.  The exit code is 1 when the lower end of the interval
+lies above the declared family rate of 1%, so the check fails only where
+the excess is significant.
 
     PYTHONPATH=src python scripts/born_false_alarms.py               # seeds 0-399
     PYTHONPATH=src python scripts/born_false_alarms.py --seeds 0 200 # seeds 0-199
@@ -22,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
 from scipy.special import betaincinv
 
 from statelab.cli import load_config, run_born_diffusion
@@ -38,21 +33,10 @@ def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def failing_checks(seed: int) -> tuple[list[str], list[str]]:
-    """Names of the checks that fail at this seed: the section's own, and
-    those with the pooled pair swapped for the replaced max statistics."""
+def failing_checks(seed: int) -> list[str]:
+    """Names of the checks that fail at this seed."""
     rep = run_born_diffusion(load_config(None, {"seed": seed}))
-    new = [c.name for c in rep.checks if not c.passed]
-    header, rows = rep.tables["born_masses.csv"]
-    z = np.array([r[header.index("z_score")] for r in rows])
-    ks = np.array([r[header.index("case_ks_statistic")] for r in rows])
-    n = rep.config["diffusion"]["n_walkers"]
-    old = [name for name in new if name not in POOLED]
-    if np.max(np.abs(z)) > 3.0:
-        old.append("born-component-mass-max-z")
-    if np.max(ks) > 1.628 / np.sqrt(n):
-        old.append("born-ks-statistic-max")
-    return new, old
+    return [c.name for c in rep.checks if not c.passed]
 
 
 def summarize(label: str, failures: dict[int, list[str]], n: int) -> float:
@@ -74,13 +58,10 @@ def main(argv=None) -> int:
                         help="seed range [FIRST, STOP)")
     args = parser.parse_args(argv)
     seeds = range(*args.seeds)
-    new, old = {}, {}
-    for seed in seeds:
-        new[seed], old[seed] = failing_checks(seed)
+    failures = {seed: failing_checks(seed) for seed in seeds}
     print(f"born-diffusion at seeds {seeds.start}-{seeds.stop - 1}, default config")
     lo = summarize(f"with {' and '.join(POOLED)} (declared family rate {FAMILY_RATE:g})",
-                   new, len(seeds))
-    summarize("with the replaced max z > 3 and max per-case KS > 1% level", old, len(seeds))
+                   failures, len(seeds))
     if lo > FAMILY_RATE:
         print(f"FAIL: the false-alarm rate is above {FAMILY_RATE:g} "
               f"(its interval starts at {lo:.4f})")

@@ -24,7 +24,7 @@ from .reconstruct import (
 )
 from .diffusion import (
     ComponentDecomposition, DensityEstimate, DiffusionConfig,
-    brownian_walk, decompose_state, density_functional, random_superposition,
+    decompose_state, density_functional, random_superposition,
     random_unitary, simulate_state_diffusion, solid_com_diffusion,
     verify_diffusion_pde,
 )

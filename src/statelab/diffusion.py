@@ -43,10 +43,16 @@ class DiffusionConfig:
             raise ValueError("tau must be positive")
         if self.diffusion_sigma <= 0:
             raise ValueError("diffusion_sigma must be positive")
+        # a tau near 0 or a huge width overflows the coefficient to inf
+        if not np.isfinite(self.diffusion_coefficient):
+            raise ValueError(
+                f"diffusion_sigma^2 / (2 tau) is not finite (diffusion_sigma "
+                f"{self.diffusion_sigma!r}, tau {self.tau!r})")
 
     @property
     def diffusion_coefficient(self) -> float:
-        return self.diffusion_sigma ** 2 / (2.0 * self.tau)
+        # a product, not ** 2: float ** raises OverflowError where * gives inf
+        return self.diffusion_sigma * self.diffusion_sigma / (2.0 * self.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +76,6 @@ class DensityEstimate:
     density: np.ndarray
     reference_density: np.ndarray
     l1_error: float
-    ks_statistic: float
     component_masses: np.ndarray
     expected_weights: np.ndarray
     n_walkers: int
@@ -101,11 +106,12 @@ def decompose_state(psi: StateVector, ks: KernelSpace, spacing: float,
     centers = np.asarray(centers, dtype=float)
     frame = np.column_stack([embed_point(float(b), ks).values for b in centers])
     scale = np.sqrt(g.dx)
-    cond = float(np.linalg.cond(frame * scale))
+    coef, _, _, sv = np.linalg.lstsq(frame * scale, psi.values * scale, rcond=None)
+    # 2-norm condition number from the singular values lstsq already computed
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond > cond_limit:
         raise NumericalBreakdownError(
             f"Gaussian frame is ill-conditioned (cond {cond:.3g} > {cond_limit:.3g})")
-    coef, *_ = np.linalg.lstsq(frame * scale, psi.values * scale, rcond=None)
     fit = frame @ coef
     residual = float(np.sqrt(quadrature(g, np.abs(fit - psi.values) ** 2).real))
     d = centers[:, None] - centers[None, :]
@@ -120,19 +126,28 @@ def decompose_state(psi: StateVector, ks: KernelSpace, spacing: float,
         near_orthogonal=max_ovl < overlap_threshold, condition_number=cond)
 
 
-def brownian_walk(start: float, cfg: DiffusionConfig, n_epochs: int = 1) -> np.ndarray:
-    """Final positions of the walker ensemble after n_epochs observation
-    times; walker i always consumes row i of the vectorized draw, so results
-    are independent of execution order."""
-    return start + _epoch_steps(cfg, n_epochs).sum(axis=1)
+# normals per draw buffer (2**17 float64, 1 MiB) of _epoch_steps and of each
+# solid_com_diffusion block; a generator fills in C order, so row chunks
+# consume its stream as one (rows, columns) draw would
+_KICK_BUFFER_NORMALS = 2**17
 
 
-def _epoch_steps(cfg: DiffusionConfig, n_epochs: int) -> np.ndarray:
-    """Brownian displacements, one row per walker and one column per epoch."""
+def _epoch_steps(cfg: DiffusionConfig, n_epochs: int) -> list[np.ndarray]:
+    """Brownian displacements, one array over the walkers per epoch; walker
+    i takes row i of one (n_walkers, n_epochs) draw.  The rows are drawn in
+    chunks through one reused buffer, so no walkers x epochs array is built."""
     if n_epochs < 1:
         raise ValueError("n_epochs must be at least 1")
     rng = cfg.stream.generator()
-    return rng.standard_normal((cfg.n_walkers, n_epochs)) * cfg.diffusion_sigma
+    rows = max(1, _KICK_BUFFER_NORMALS // n_epochs)
+    buf = np.empty((min(rows, cfg.n_walkers), n_epochs))
+    steps = [np.empty(cfg.n_walkers) for _ in range(n_epochs)]
+    for i0 in range(0, cfg.n_walkers, rows):
+        chunk = rng.standard_normal(out=buf[:cfg.n_walkers - i0])
+        chunk *= cfg.diffusion_sigma
+        for e, s in enumerate(steps):
+            s[i0:i0 + len(chunk)] = chunk[:, e]
+    return steps
 
 
 def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
@@ -145,34 +160,25 @@ def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
     return np.diff(at_edges)
 
 
-def _mixture_cdf(centers: np.ndarray, weights: np.ndarray, scale: float,
-                 xs: np.ndarray) -> np.ndarray:
-    """CDF of the component mixture sum_j w_j Normal(b_j, scale^2), summed one
-    component at a time so that no (components x points) array is built."""
-    out = np.zeros_like(xs)
-    for b, w in zip(centers, weights):
-        out += w * ndtr((xs - b) / scale)
-    return out
-
-
 def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelSpace,
                              spacing: Optional[float] = None,
-                             centers: Optional[Sequence[float]] = None) -> DensityEstimate:
+                             centers: Optional[Sequence[float]] = None,
+                             dec: Optional[ComponentDecomposition] = None) -> DensityEstimate:
     """Diffuse the components of psi and histogram the arrivals.
 
-    Each walker samples component j with probability w_j, starts at center
-    b_j, and takes one Brownian displacement.  The histogram (bins of width
-    sigma/4 covering all centers +- 6 sigma) is compared against the
-    reference density |psi(a)|^2: l1_error is the total-variation distance
-    between the binned probability masses.  ks_statistic is the raw-sample
-    Kolmogorov-Smirnov distance against the exact sampling law (the component
-    mixture); against |psi|^2 the near-orthogonality cross terms alone would
-    exceed KS resolution at 1e5 walkers.  arrival_uniforms feed
-    pooled_arrival_ks, and component_masses component_mass_chi2.
+    psi is decomposed over centers (or the lattice of the given spacing)
+    unless dec, its decomposition, is passed in.  Each walker samples
+    component j with probability w_j, starts at center b_j, and takes one
+    Brownian displacement.  The histogram (bins of width sigma/4 covering all
+    centers +- 6 sigma) is compared against the reference density
+    |psi(a)|^2: l1_error is the total-variation distance between the binned
+    probability masses.  arrival_uniforms feed pooled_arrival_ks, and
+    component_masses component_mass_chi2.
     """
-    if spacing is None:
-        spacing = 6.0 * ks.sigma
-    dec = decompose_state(psi, ks, spacing, centers=centers)
+    if dec is None:
+        if spacing is None:
+            spacing = 6.0 * ks.sigma
+        dec = decompose_state(psi, ks, spacing, centers=centers)
     if not dec.near_orthogonal:
         raise ValueError(
             f"state decomposition is not near-orthogonal "
@@ -195,31 +201,31 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelS
     out_mismatch = abs((1.0 - est_mass.sum()) - (1.0 - ref_mass.sum()))
     l1 = 0.5 * (np.abs(est_mass - ref_mass).sum() + out_mismatch)
 
-    xs = np.sort(finals)
-    ref_cdf = _mixture_cdf(dec.centers, dec.weights, cfg.diffusion_sigma, xs)
-    i = np.arange(1, cfg.n_walkers + 1)
-    ks_stat = float(np.max(np.maximum(np.abs(i / cfg.n_walkers - ref_cdf),
-                                      np.abs((i - 1) / cfg.n_walkers - ref_cdf))))
-
     masses = np.bincount(comp, minlength=len(dec.centers)) / cfg.n_walkers
-    uniforms = ndtr((finals - dec.centers[comp]) / cfg.diffusion_sigma)
+    # Phi((x - b_j) / diffusion_sigma), written over the arrivals
+    uniforms = finals
+    uniforms -= dec.centers[comp]
+    uniforms /= cfg.diffusion_sigma
+    ndtr(uniforms, out=uniforms)
     uniforms.sort()
     return DensityEstimate(
         bin_edges=edges, counts=counts, density=density,
-        reference_density=ref_mass / width, l1_error=float(l1), ks_statistic=ks_stat,
+        reference_density=ref_mass / width, l1_error=float(l1),
         component_masses=masses, expected_weights=dec.weights, n_walkers=cfg.n_walkers,
         arrival_uniforms=uniforms)
 
 
 def _draw_arrivals(centers: np.ndarray, weights: np.ndarray, cfg: DiffusionConfig):
     """The sampler: each walker's component j, drawn with probability w_j,
-    and its arrival b_j + diffusion_sigma * N(0, 1)."""
+    and its arrival b_j + diffusion_sigma * N(0, 1), formed in the normals'
+    own array."""
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    u = cfg.stream.child(0).generator().random(cfg.n_walkers)
-    comp = np.searchsorted(cum, u)
-    noise = cfg.stream.child(1).generator().standard_normal(cfg.n_walkers)
-    return comp, centers[comp] + cfg.diffusion_sigma * noise
+    comp = np.searchsorted(cum, cfg.stream.child(0).generator().random(cfg.n_walkers))
+    arrivals = cfg.stream.child(1).generator().standard_normal(cfg.n_walkers)
+    arrivals *= cfg.diffusion_sigma
+    arrivals += centers[comp]
+    return comp, arrivals
 
 
 def component_mass_chi2(estimates: Sequence[DensityEstimate], alpha: float):
@@ -320,12 +326,15 @@ def verify_diffusion_pde(cfg: DiffusionConfig, start: float = 0.0,
     the sup-norm residual is taken over bin-averaged densities, and the
     per-epoch variances exhibit additivity.
     """
-    positions = start + np.cumsum(_epoch_steps(cfg, n_epochs), axis=1)
+    # displacement after each epoch, accumulated in place
+    disp = _epoch_steps(cfg, n_epochs)
+    for e in range(1, n_epochs):
+        disp[e] += disp[e - 1]
     width = cfg.diffusion_sigma / 4.0
     sup = 0.0
     variances = np.empty(n_epochs)
     for e in range(1, n_epochs + 1):
-        xs = positions[:, e - 1]
+        xs = start + disp[e - 1]
         s_e = cfg.diffusion_sigma * np.sqrt(e)
         lo, hi = start - 8.0 * s_e, start + 8.0 * s_e
         edges = np.arange(lo, hi + width, width)
@@ -343,9 +352,13 @@ def verify_diffusion_pde(cfg: DiffusionConfig, start: float = 0.0,
 # walker blocks of solid_com_diffusion; fixed, so no result depends on how
 # many threads run them
 _BLOCKS = 8
-# normals per block kick buffer (2**17 float64, 1 MiB); a generator fills in
-# C order, so row chunks consume its stream as one (size, n_cells) draw would
-_KICK_BUFFER_NORMALS = 2**17
+
+
+def _thread_pool(jobs: int) -> ThreadPoolExecutor:
+    """A pool of one thread per available core, at most one per job.  Its
+    callers run independent jobs, each on its own stream, and collect the
+    results in submission order, so no result depends on the thread count."""
+    return ThreadPoolExecutor(max_workers=min(jobs, len(os.sched_getaffinity(0))))
 
 
 def _block_generator(stream: RngStream) -> np.random.Generator:
@@ -369,11 +382,11 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
 
     The walkers are split into _BLOCKS blocks (np.array_split sizes); block b
     draws from an SFC64 generator keyed by cfg.stream.child(b), and the
-    blocks run on up to one thread per available core.  Each block reuses
-    one kick buffer of _KICK_BUFFER_NORMALS normals (at least one row), so
-    memory stays flat as walkers x cells grow.  The fills and row means
-    release the GIL, and the displacements are joined in block order, so the
-    estimate is the same for every thread count.
+    blocks run on a _thread_pool.  Each block reuses one kick buffer of
+    _KICK_BUFFER_NORMALS normals (at least one row), so memory stays flat as
+    walkers x cells grow.  The fills and row means release the GIL, and the
+    displacements are joined in block order, so the estimate is the same for
+    every thread count.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
@@ -394,8 +407,7 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
 
     q, r = divmod(cfg.n_walkers, _BLOCKS)
     sizes = [q + (b < r) for b in range(_BLOCKS)]
-    workers = min(_BLOCKS, len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _thread_pool(_BLOCKS) as pool:
         disp = np.concatenate(list(pool.map(block, range(_BLOCKS), sizes)))
     return float(np.var(disp) / (2.0 * n_steps * cfg.tau))
 
@@ -405,9 +417,11 @@ def random_superposition(ks: KernelSpace, stream: RngStream,
                          spacing: Optional[float] = None):
     """Random near-orthogonal superposition of embedded points.
 
-    Returns (psi, centers, weights): complex Gaussian coefficients over
-    lattice centers spaced >= 6 sigma, normalized; weights are the exact
-    squared coefficients of the normalized state, renormalized to sum to 1.
+    Returns (psi, dec): psi has complex Gaussian coefficients over lattice
+    centers spaced >= 6 sigma and is normalized; dec is its decomposition
+    over those centers, whose weights are the exact squared coefficients of
+    the normalized state, renormalized to sum to 1 (simulate_state_diffusion
+    takes it as is).
     """
     if spacing is None:
         spacing = 6.0 * ks.sigma
@@ -425,5 +439,4 @@ def random_superposition(ks: KernelSpace, stream: RngStream,
     for b, c in zip(centers, coef):
         vals += c * embed_point(float(b), ks).values
     psi = StateVector(g, vals).normalized()
-    dec = decompose_state(psi, ks, spacing, centers=centers)
-    return psi, centers, dec.weights
+    return psi, decompose_state(psi, ks, spacing, centers=centers)

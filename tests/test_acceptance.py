@@ -186,9 +186,9 @@ def test_criterion_08_diffusion_pde():
 def test_criterion_09_born_rule():
     with _Budget(9, "Born histograms: L1 < 0.02 and masses within 3 sd, 10 cases", 60.0):
         for case in range(10):
-            psi, centers, _ = random_superposition(KS, RngStream(SEED, 11).child(case))
+            psi, dec = random_superposition(KS, RngStream(SEED, 11).child(case))
             cfg = DiffusionConfig(100_000, 1.0, SIGMA, RngStream(SEED, 12).child(case))
-            est = simulate_state_diffusion(psi, cfg, KS, centers=centers)
+            est = simulate_state_diffusion(psi, cfg, KS, dec=dec)
             assert est.l1_error < 0.02
             for w, m in zip(est.expected_weights, est.component_masses):
                 sd = np.sqrt(w * (1 - w) / est.n_walkers)

@@ -22,9 +22,9 @@ SIGMA = 0.5
 
 
 def _estimate(ks, seed, n, case=0):
-    psi, centers, _ = random_superposition(ks, RngStream(seed, 11).child(case))
+    psi, dec = random_superposition(ks, RngStream(seed, 11).child(case))
     cfg = DiffusionConfig(n, 1.0, SIGMA, RngStream(seed, 12).child(case))
-    return simulate_state_diffusion(psi, cfg, ks, centers=centers), centers, cfg
+    return simulate_state_diffusion(psi, cfg, ks, dec=dec), dec.centers, cfg
 
 
 def test_pooled_ks_equals_scipy_kstest(ks):
@@ -57,7 +57,7 @@ def test_chi2_merges_components_expecting_fewer_than_five_walkers():
     w = np.array([0.6998, 0.0002, 0.3])
     est = diff.DensityEstimate(
         bin_edges=None, counts=None, density=None, reference_density=None, l1_error=0.0,
-        ks_statistic=0.0, component_masses=np.array([0.7, 0.0, 0.3]), expected_weights=w,
+        component_masses=np.array([0.7, 0.0, 0.3]), expected_weights=w,
         n_walkers=10_000, arrival_uniforms=None)
     stat, df, _ = diff.component_mass_chi2([est], ALPHA)
     assert df == 1
@@ -89,15 +89,17 @@ def _widened(factor):
     return widened
 
 
-def _caught(ks, seed):
-    """(replaced statistics fail, new pair fails) on born-diffusion's 10 cases."""
+def _caught(ks, seed, mixture_ks):
+    """(replaced statistics fail, new pair fails) on born-diffusion's 10 cases;
+    the replaced per-case KS against the mixture is the test-side oracle."""
     ests, old = [], False
     for case in range(10):
-        est = _estimate(ks, seed, 100_000, case)[0]
+        est, centers, cfg = _estimate(ks, seed, 100_000, case)
         ests.append(est)
         w, m = est.expected_weights, est.component_masses
         z = np.abs(m - w) / np.sqrt(w * (1.0 - w) / est.n_walkers)
-        old = old or z.max() > 3.0 or est.ks_statistic > 1.628 / np.sqrt(est.n_walkers)
+        old = (old or z.max() > 3.0
+               or mixture_ks(centers, w, cfg) > 1.628 / np.sqrt(est.n_walkers))
     chi2, _, chi2_bound = diff.component_mass_chi2(ests, ALPHA)
     ks_stat, ks_bound = diff.pooled_arrival_ks(ests, ALPHA)
     return old, chi2 > chi2_bound or ks_stat > ks_bound
@@ -105,9 +107,10 @@ def _caught(ks, seed):
 
 @pytest.mark.parametrize("defect", [_tilted(0.01), _widened(1.02)],
                          ids=["weights-tilted-1pct", "width-2pct-wide"])
-def test_new_checks_catch_sampler_defects_at_least_as_often(ks, monkeypatch, defect):
+def test_new_checks_catch_sampler_defects_at_least_as_often(ks, monkeypatch, mixture_ks,
+                                                            defect):
     monkeypatch.setattr(diff, "_draw_arrivals", defect)
-    verdicts = [_caught(ks, seed) for seed in SEEDS]
+    verdicts = [_caught(ks, seed, mixture_ks) for seed in SEEDS]
     old = sum(o for o, _ in verdicts)
     new = sum(n for _, n in verdicts)
     assert old >= 0.9 * len(SEEDS)

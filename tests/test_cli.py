@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from statelab import diffusion as diff
 from statelab.cli import (
     DEFAULT_CONFIG, SECTIONS, ExperimentConfig, ValidationError, _check_born_width,
-    _fit_horizon, load_config, main,
+    _fit_horizon, load_config, main, run_born_diffusion,
 )
 from statelab.diffusion import random_superposition
 from statelab.dynamics import PotentialSpec, newton_integrate, packet_width_bound
@@ -203,6 +204,59 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, data, path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("data, path", [
+    ({"grid": [1, 2]}, "grid"),
+    ({"physics": 5}, "physics"),
+    ({"potential": {"kind": "noisy", "base": 5, "noise_std": 0.1},
+      "units": {"potential.noise_std": "energy/length"}}, "potential.base"),
+], ids=["grid-list", "physics-int", "noisy-base-int"])
+def test_config_section_must_be_an_object(tmp_path, capsys, data, path):
+    # a list for grid used to raise AttributeError (traceback, exit 1), and
+    # an int for physics said "'int' object is not iterable"
+    code, out = run(tmp_path, "all", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path} must be a JSON object" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("diffusion", [{"tau": 1e-320}, {"diffusion_sigma": 1e200}],
+                         ids=["tau-1e-320", "width-1e200"])
+def test_non_finite_diffusion_coefficient_exits_two(tmp_path, capsys, diffusion):
+    # sigma_d^2 / (2 tau) overflows to inf; tau = 1e-320 used to validate,
+    # then turn solid-com's estimates into NaN and exit 1
+    code, out = run(tmp_path, "solid-com", "--config",
+                    write_config(tmp_path, {"diffusion": diffusion}))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "diffusion_sigma^2 / (2 tau) is not finite" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_born_diffusion_is_pool_size_invariant(monkeypatch):
+    # born-diffusion's ensembles run beside each other on one thread per
+    # available core; one worker and two give the same checks and tables
+    pools = []
+    real_pool = diff.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(diff, "ThreadPoolExecutor", spy)
+    cfg = load_config(None, {"walkers": 2000})
+    reports = []
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        reports.append(run_born_diffusion(cfg))
+    assert pools == [1, 2]
+    one, two = reports
+    assert one.to_json() == two.to_json()
+    assert one.tables == two.tables
+
+
 def test_superposition_lattice_checked_at_validation(tmp_path, capsys):
     # born-diffusion's superpositions need 5 centers 6 sigma apart inside
     # 6 sigma margins, so L > 36 sigma; on the default grid (L = 32) sigma =
@@ -216,8 +270,8 @@ def test_superposition_lattice_checked_at_validation(tmp_path, capsys):
     assert not (out / "report.json").exists()
     # a width just inside the bound leaves room for the largest superposition
     cfg = ExperimentConfig({"kernel": {"sigma": 0.88}})
-    _, centers, _ = random_superposition(cfg.kernel, cfg.stream(11), 5, 5)
-    assert len(centers) == 5
+    _, dec = random_superposition(cfg.kernel, cfg.stream(11), 5, 5)
+    assert len(dec.centers) == 5
 
 
 @pytest.mark.parametrize("data, path", [

@@ -5,7 +5,7 @@ import pytest
 
 from statelab import (
     DiffusionConfig, diffusion, RngStream, StateVector,
-    brownian_walk, decompose_state, density_functional, embed_point,
+    decompose_state, density_functional, embed_point,
     fs_distance, inner_l2, random_superposition, random_unitary,
     simulate_state_diffusion, solid_com_diffusion, verify_diffusion_pde,
 )
@@ -71,20 +71,32 @@ def test_decompose_near_orthogonal_flag(grid, ks):
 
 # ------------------------------------------------------------- brownian
 
-def test_brownian_walk_moments():
+def test_epoch_steps_moments():
     c = cfg()
-    finals = brownian_walk(0.0, c)
-    assert finals.shape == (c.n_walkers,)
+    steps = diffusion._epoch_steps(c, 1)
+    assert len(steps) == 1 and steps[0].shape == (c.n_walkers,)
+    finals = steps[0]
     assert abs(finals.mean()) < 4 * c.diffusion_sigma / np.sqrt(c.n_walkers)
     assert finals.var() == pytest.approx(c.diffusion_sigma**2, rel=0.05)
 
 
-def test_brownian_walk_deterministic():
-    a = brownian_walk(1.0, cfg(seed=5))
-    b = brownian_walk(1.0, cfg(seed=5))
+def test_epoch_steps_deterministic():
+    a = diffusion._epoch_steps(cfg(seed=5), 1)
+    b = diffusion._epoch_steps(cfg(seed=5), 1)
     assert np.array_equal(a, b)
-    c = brownian_walk(1.0, cfg(seed=6))
+    c = diffusion._epoch_steps(cfg(seed=6), 1)
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("normals", [1, 7, 10**6])
+def test_epoch_steps_are_rows_of_one_draw(monkeypatch, normals):
+    # chunks of one row, of 3 rows over 2 epochs, and the whole ensemble
+    # consume the stream as one (n_walkers, n_epochs) draw does
+    c = cfg(n=1001, stream_id=8)
+    want = c.stream.generator().standard_normal((1001, 2)) * c.diffusion_sigma
+    monkeypatch.setattr(diffusion, "_KICK_BUFFER_NORMALS", normals)
+    steps = diffusion._epoch_steps(c, 2)
+    assert np.array_equal(np.column_stack(steps), want)
 
 
 # ------------------------------------------------------------- born rule
@@ -132,17 +144,45 @@ def test_simulate_requires_near_orthogonal(grid, ks):
         simulate_state_diffusion(psi, cfg(n=1000), ks, spacing=3 * SIGMA)
 
 
-def test_born_statistics_random_superpositions(grid, ks):
+def test_born_statistics_random_superpositions(grid, ks, mixture_ks):
     # module-level spot check (3 cases); the acceptance suite runs all 10
     for case in range(3):
-        psi, centers, weights = random_superposition(ks, RngStream(42, 11).child(case))
-        est = simulate_state_diffusion(psi, cfg(stream_id=100 + case), ks,
-                                       centers=centers)
+        psi, dec = random_superposition(ks, RngStream(42, 11).child(case))
+        c = cfg(stream_id=100 + case)
+        est = simulate_state_diffusion(psi, c, ks, dec=dec)
         assert est.l1_error < 0.02
         for w, m in zip(est.expected_weights, est.component_masses):
             sd = np.sqrt(w * (1 - w) / est.n_walkers)
             assert abs(m - w) <= 3 * sd
-        assert est.ks_statistic < 1.628 / np.sqrt(est.n_walkers)
+        assert mixture_ks(dec.centers, dec.weights, c) < 1.628 / np.sqrt(est.n_walkers)
+
+
+def test_superposition_decomposition_is_the_one_simulated(ks):
+    # passing random_superposition's decomposition skips a second one over
+    # the same centers, and changes no output
+    psi, dec = random_superposition(ks, RngStream(42, 11).child(4))
+    c = cfg(n=5000, stream_id=104)
+    given = simulate_state_diffusion(psi, c, ks, dec=dec)
+    redone = simulate_state_diffusion(psi, c, ks, centers=dec.centers)
+    for field in ("bin_edges", "counts", "density", "reference_density",
+                  "component_masses", "expected_weights", "arrival_uniforms"):
+        assert np.array_equal(getattr(given, field), getattr(redone, field)), field
+    assert given.l1_error == redone.l1_error
+
+
+def test_state_diffusion_memory_at_1e5_walkers(ks):
+    # the arrivals are drawn, shifted, histogrammed and mapped to their
+    # uniforms in one 0.8 MB array; the walkers' components take another
+    psi, dec = random_superposition(ks, RngStream(42, 11).child(0))
+    c = cfg(stream_id=18)
+    simulate_state_diffusion(psi, c, ks, dec=dec)   # one-off allocations
+    tracemalloc.start()
+    try:
+        simulate_state_diffusion(psi, c, ks, dec=dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_linearity_of_simulated_density(grid, ks):
@@ -235,7 +275,7 @@ def test_epoch_count_must_be_positive():
     with pytest.raises(ValueError):
         verify_diffusion_pde(cfg(n=1000, stream_id=8), n_epochs=0)
     with pytest.raises(ValueError):
-        brownian_walk(0.0, cfg(n=1000), n_epochs=0)
+        diffusion._epoch_steps(cfg(n=1000), 0)
 
 
 # ------------------------------------------------------------- solid COM

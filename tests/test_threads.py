@@ -1,7 +1,10 @@
-"""statelab's only threads are the ``all`` section pool and solid-com's walker
-blocks.  A dense call large enough for the BLAS library to thread wakes its
-worker threads, which then spin for tens of milliseconds on cores the walker
-blocks need; this test measures that CPU on every thread but the caller."""
+"""statelab's only threads are the ``all`` section pool, solid-com's walker
+blocks and born-diffusion's ensembles.  A dense call large enough for the
+BLAS library to thread wakes its worker threads, which then spin for tens of
+milliseconds on cores the walker blocks need; this test measures that CPU on
+every thread but the caller.  A section's own pool threads have exited when
+it returns, so only a thread that outlives the section, such as a BLAS
+worker, is counted."""
 
 import os
 import threading
