@@ -39,168 +39,156 @@ class ValidationError(ValueError):
     """Configuration rejected before any computation."""
 
 
-UNIT_SCHEMA = {
-    "grid.x_min": "length",
-    "grid.x_max": "length",
-    "physics.hbar": "action",
-    "physics.mass": "mass",
-    "kernel.sigma": "length",
-    "potential.slope": "energy/length",
-    "potential.stiffness": "energy/length^2",
-    "potential.center": "length",
-    "potential.noise_std": "energy/length",
-    "diffusion.tau": "time",
-    "diffusion.diffusion_sigma": "length",
-}
+_NO_DEFAULT = object()   # a field that DEFAULT_CONFIG leaves out
 
-DEFAULT_CONFIG = {
-    "grid": {"n_points": 512, "x_min": -16.0, "x_max": 16.0, "periodic": True},
-    "physics": {"hbar": 1.0, "mass": 1.0},
-    "kernel": {"sigma": 0.5},
-    "potential": {"kind": "harmonic", "stiffness": 1.0, "center": 0.0},
-    "diffusion": {"n_walkers": 100000, "tau": 1.0, "diffusion_sigma": 0.5},
-    "seed": 20250809,
-    "out_dir": None,
-    "units": {
-        "grid.x_min": "length",
-        "grid.x_max": "length",
-        "physics.hbar": "action",
-        "physics.mass": "mass",
-        "kernel.sigma": "length",
-        "potential.stiffness": "energy/length^2",
-        "potential.center": "length",
-        "diffusion.tau": "time",
-        "diffusion.diffusion_sigma": "length",
-    },
+# The config schema, path -> (type, unit, default), from which DEFAULT_CONFIG,
+# its units and every key and type check come.  A float takes any finite JSON
+# number; a field with a unit carries it in "units", except in potential.base.
+SCHEMA = {
+    # the sections, and the units block, whose default holds every unit below
+    **{key: (dict, None, _NO_DEFAULT)
+       for key in ("grid", "physics", "kernel", "potential", "diffusion", "units")},
+    "grid.n_points": (int, None, 512),
+    "grid.x_min": (float, "length", -16.0),
+    "grid.x_max": (float, "length", 16.0),
+    "grid.periodic": (bool, None, True),
+    "physics.hbar": (float, "action", 1.0),
+    "physics.mass": (float, "mass", 1.0),
+    "kernel.sigma": (float, "length", 0.5),
+    "potential.kind": (str, None, "harmonic"),
+    "potential.slope": (float, "energy/length", _NO_DEFAULT),
+    "potential.stiffness": (float, "energy/length^2", 1.0),
+    "potential.center": (float, "length", 0.0),
+    "potential.noise_std": (float, "energy/length", _NO_DEFAULT),
+    "potential.base": (dict, None, _NO_DEFAULT),
+    "diffusion.n_walkers": (int, None, 100000),
+    "diffusion.tau": (float, "time", 1.0),
+    "diffusion.diffusion_sigma": (float, "length", 0.5),
+    "seed": (int, None, 20250809),
+    "out_dir": ((str, type(None)), None, None),
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               dict: "a JSON object", (str, type(None)): "a string or null"}
+# the fields each potential kind takes; all but harmonic's center are required
+_KIND_FIELDS = {"free": (), "linear": ("slope",), "harmonic": ("stiffness", "center"),
+                "noisy": ("base", "noise_std")}
+_FLAGS = {"seed": "seed", "walkers": "diffusion.n_walkers", "grid": "grid.n_points"}
 
-_TOP_KEYS = set(DEFAULT_CONFIG)
+
+def _default_config() -> dict:
+    cfg = {}
+    for path, (_, _, default) in SCHEMA.items():
+        if default is not _NO_DEFAULT:
+            *section, key = path.split(".")
+            (cfg.setdefault(section[0], {}) if section else cfg)[key] = default
+    cfg["units"] = {path: unit for path, (_, unit, default) in SCHEMA.items()
+                    if unit and default is not _NO_DEFAULT}
+    return cfg
+
+
+DEFAULT_CONFIG = _default_config()
 _TRAJECTORY_DT = 1e-3   # time step of the trajectory checks
 
 
-def _validate_units(cfg: dict) -> None:
-    units = cfg.get("units")
-    if not isinstance(units, dict):
-        raise ValidationError("config must carry a 'units' block annotating physical quantities")
-    for section in ("grid", "physics", "kernel", "potential", "diffusion"):
-        for path in (f"{section}.{key}" for key in cfg.get(section, {})):
-            if path not in UNIT_SCHEMA:
-                continue
-            if path not in units:
-                raise ValidationError(f"missing unit annotation for {path!r} "
-                                      f"(expected {UNIT_SCHEMA[path]!r})")
-            if units[path] != UNIT_SCHEMA[path]:
-                raise ValidationError(
-                    f"unit for {path!r} is {units[path]!r}, expected {UNIT_SCHEMA[path]!r}")
-    for path in units:
-        if path not in UNIT_SCHEMA:
-            raise ValidationError(f"unknown unit annotation {path!r}")
+def _check_field(value, kind, path: str) -> None:
+    # int() would run 1.5 and true as 1, float() the string "1.0"; json reads
+    # NaN and Infinity as floats, and 1e400 written out as an int float() refuses
+    accepts = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepts):
+        raise ValidationError(f"{path} must be {_TYPE_NAMES[kind]}, not {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{path} must be a finite number, not {value!r}")
 
 
-def _reject_non_finite(node, path: str = "") -> None:
-    # Python's json reads NaN and Infinity as floats
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _reject_non_finite(value, f"{path}.{key}" if path else str(key))
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ValidationError(f"{path} must be a finite number, not {node!r}")
-
-
-def _integer(value, path: str) -> int:
-    # int() would run 1.5 and true as 1; an integer field takes neither
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path} must be an integer, not {value!r}")
-    return value
-
-
-def _object(node, path: str) -> dict:
-    # a config section read as a mapping; a list or a number there is a
-    # config error, not an AttributeError deep inside validation
-    if not isinstance(node, dict):
-        raise ValidationError(f"{path} must be a JSON object, not {node!r}")
-    return node
+def _check_keys(node: dict, units: dict, path: str = "", section: str = "") -> None:
+    """Every key of the config object at path against the SCHEMA fields of
+    section, down through the sections and a noisy potential's base."""
+    for key, value in node.items():
+        where, field = (f"{path}.{key}", f"{section}.{key}") if path else (key, key)
+        if field not in SCHEMA:
+            raise ValidationError(f"unknown config key {where!r}")
+        kind, unit, _ = SCHEMA[field]
+        _check_field(value, kind, where)
+        if unit and where == field and where not in units:
+            raise ValidationError(f"missing unit annotation for {where!r} (expected {unit!r})")
+        if field == "units":
+            for annotated, given in value.items():
+                expected = SCHEMA.get(annotated, (None, None))[1]
+                if given != expected or expected is None:
+                    raise ValidationError(
+                        f"unit for {annotated!r} is {given!r}, expected {expected!r}")
+        elif kind is dict:
+            _check_keys(value, units, where, "potential" if field == "potential.base" else field)
 
 
 def _potential_from_config(d: dict, seed: int, path: str = "potential") -> PotentialSpec:
-    kind = _object(d, path).get("kind", "free")
+    kind = d.get("kind", "free")
+    if kind not in _KIND_FIELDS or (kind == "noisy" and path != "potential"):
+        raise ValidationError(f"{path}.kind {kind!r} not supported (noisy potentials do not "
+                              "nest; the library API takes tabulated potentials)")
+    takes = _KIND_FIELDS[kind]
+    bad = sorted(set(d) - {"kind", *takes}) + sorted(set(takes) - set(d) - {"center"})
+    if bad:
+        raise ValidationError(f"{path}.{bad[0]} is {'missing' if bad[0] in takes else 'extra'} "
+                              f"for kind {kind!r}, which takes {', '.join(takes) or 'none'}")
     if kind == "free":
         return PotentialSpec.free()
     if kind == "linear":
         return PotentialSpec.linear(d["slope"])
     if kind == "harmonic":
         return PotentialSpec.harmonic(d["stiffness"], d.get("center", 0.0))
-    if kind == "noisy":
-        base = _potential_from_config(d["base"], seed, f"{path}.base")
-        return PotentialSpec.noisy(base, d["noise_std"], RngStream(seed, 15))
-    raise ValidationError(
-        f"config potential kind {kind!r} not supported (use the library API "
-        "for tabulated potentials)")
+    base = _potential_from_config(d["base"], seed, f"{path}.base")
+    return PotentialSpec.noisy(base, d["noise_std"], RngStream(seed, 15))
 
 
 class ExperimentConfig:
-    """Validated configuration bundle; fully determines every run."""
+    """Validated configuration bundle; fully determines every run.  overrides
+    maps SCHEMA paths to values that replace the merged config's."""
 
-    def __init__(self, data: dict):
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        merged = {k: (dict(DEFAULT_CONFIG[k]) if isinstance(DEFAULT_CONFIG[k], dict) else DEFAULT_CONFIG[k])
-                  for k in DEFAULT_CONFIG}
-        for k, v in data.items():
-            if k == "potential":
-                merged[k] = dict(_object(v, k))   # kinds carry disjoint fields: replace
-            elif isinstance(merged[k], dict):
-                merged[k].update(_object(v, k))
-            else:
-                merged[k] = v
-        _reject_non_finite(merged)
-        _validate_units(merged)
-        g = merged["grid"]
-        if g.get("periodic", True) is not True:
+    def __init__(self, data: dict, overrides: dict | None = None):
+        merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
+        for key, value in data.items():
+            if key not in merged:
+                raise ValidationError(f"unknown config key {key!r}")
+            if isinstance(merged[key], dict):
+                _check_field(value, dict, key)
+                if key != "potential":   # potential kinds carry disjoint fields: replace
+                    value = {**merged[key], **value}
+            merged[key] = value
+        for path, value in (overrides or {}).items():
+            *section, key = path.split(".")
+            (merged[section[0]] if section else merged)[key] = value
+        _check_keys(merged, merged["units"])
+        g, ph, d = merged["grid"], merged["physics"], merged["diffusion"]
+        if g["periodic"] is not True:
             raise ValidationError(
                 "grid.periodic must be true: the propagator and the grid deltas are spectral")
-        try:
-            self.grid = Grid(_integer(g["n_points"], "grid.n_points"),
-                             float(g["x_min"]), float(g["x_max"]), True)
-        except ValueError as exc:
-            raise ValidationError(f"invalid grid: {exc}") from exc
-        if self.grid.n_points < 64:
-            raise ValidationError("acceptance runs need n_points >= 64")
-        ph = merged["physics"]
-        try:
+        self.seed, self.out_dir, self.echo = merged["seed"], merged["out_dir"], merged
+        try:   # the library's own argument checks
+            self.grid = Grid(g["n_points"], float(g["x_min"]), float(g["x_max"]), True)
             self.physics = PhysicsParams(float(ph["hbar"]), float(ph["mass"]))
+            self.kernel = KernelSpace(self.grid, float(merged["kernel"]["sigma"]))
+            self.diffusion = diff.DiffusionConfig(d["n_walkers"], float(d["tau"]),
+                                                  float(d["diffusion_sigma"]), self.stream(10))
         except ValueError as exc:
-            raise ValidationError(f"invalid physics params: {exc}") from exc
-        sigma = float(merged["kernel"]["sigma"])
-        if sigma <= 0:
-            raise ValidationError("kernel.sigma must be positive")
+            raise ValidationError(f"invalid config: {exc}") from exc
+        sigma = self.kernel.sigma
         if self.grid.length <= 36.0 * sigma:
             raise ValidationError(
                 "grid must span more than 36 kernel widths: born-diffusion places up to "
                 "5 centers 6 sigma apart inside 6 sigma margins")
-        self.kernel = KernelSpace(self.grid, sigma)
-        self.seed = _integer(merged["seed"], "seed")
         self.potential = _potential_from_config(merged["potential"], self.seed)
-        # start packet of the trajectory checks, which must pass the
-        # propagator's step guard under the configured potential
+        # the trajectory checks' start packet must pass the propagator's step guard
         self.q0 = GaussianParams(1.0, 0.0, sigma)
         try:
             dyn._validate_step(geo.realize(self.q0, self.grid, hbar=self.physics.hbar),
                                self.potential, self.physics, _TRAJECTORY_DT)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:   # 0.0 ** -0.25 for a tiny sigma
             raise ValidationError(
                 f"trajectory checks at dt = {_TRAJECTORY_DT:g}: {exc}") from exc
-        d = merged["diffusion"]
-        try:
-            self.diffusion = diff.DiffusionConfig(
-                _integer(d["n_walkers"], "diffusion.n_walkers"),
-                float(d["tau"]), float(d["diffusion_sigma"]), RngStream(self.seed, 10))
-        except ValueError as exc:
-            raise ValidationError(f"invalid diffusion config: {exc}") from exc
-        self.out_dir = merged["out_dir"]
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ValidationError(f"out_dir must be a string or null, not {self.out_dir!r}")
-        self.echo = merged
+        # measured on the default cell: geometry passes to dx = 0.94 sigma, and
+        # the free-packet checks of dynamics (width 0.5) fail near dx = 0.7
+        _check_spacing(self.grid, 0.9 * min(sigma, 0.5), "0.9 min(kernel.sigma, 0.5)")
 
     def stream(self, stream_id: int) -> RngStream:
         return RngStream(self.seed, stream_id)
@@ -214,28 +202,31 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
                 data = json.load(fh)
         except FileNotFoundError as exc:
             raise ValidationError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("config root must be a JSON object")
-    if overrides.get("seed") is not None:
-        data["seed"] = overrides["seed"]
-    if overrides.get("walkers") is not None:
-        data.setdefault("diffusion", {})["n_walkers"] = overrides["walkers"]
-    if overrides.get("grid") is not None:
-        data.setdefault("grid", {})["n_points"] = overrides["grid"]
-    return ExperimentConfig(data)
+    return ExperimentConfig(data, {path: overrides[flag] for flag, path in _FLAGS.items()
+                                   if overrides.get(flag) is not None})
+
+
+def _check_spacing(grid: Grid, dx_max: float, rule: str) -> None:
+    if grid.dx > dx_max:
+        raise ValidationError(f"grid spacing dx = {grid.dx:.4g} exceeds {rule} = {dx_max:.4g}: "
+                              f"raise grid.n_points to at least {math.ceil(grid.length / dx_max)}")
 
 
 def _check_born_width(cfg: ExperimentConfig) -> None:
     """The Born checks compare arrivals N(b, diffusion_sigma^2) with |phi_b|^2,
     whose width is kernel.sigma, so born-diffusion needs the two equal;
-    solid-com and the PDE check take any width."""
+    solid-com and the PDE check take any width.  The Born bins are sigma/4
+    wide, with reference masses from the grid CDF, which needs dx <= sigma/4."""
     sigma, sigma_d = cfg.kernel.sigma, cfg.diffusion.diffusion_sigma
     if abs(sigma_d - sigma) > 1e-12 * sigma:
         raise ValidationError(
             f"diffusion.diffusion_sigma ({sigma_d!r}) must equal kernel.sigma ({sigma!r}) "
             "for born-diffusion: the Born identity holds only for equal widths")
+    _check_spacing(cfg.grid, sigma / 4.0, "kernel.sigma / 4 for born-diffusion")
 
 
 def _worker_count() -> int:
@@ -272,12 +263,12 @@ def _fmt(v) -> str:
 _SEAM_WIDTHS = 6.0
 
 
-def _fit_horizon(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams, grid: Grid,
-                 sigma: float, t_max: float) -> float:
-    """Largest t <= t_max up to which the Newtonian trajectory from q0, widened
-    by _SEAM_WIDTHS packet widths (dynamics.packet_width_bound), stays inside
-    the periodic cell, on the step the trajectory checks use."""
-    t, a, _ = dyn.newton_integrate(q0.a, q0.p, V, phys, t_max, _TRAJECTORY_DT, grid)
+def _seam_horizon(newton: tuple, t_max: float, V: PotentialSpec, phys: PhysicsParams,
+                  grid: Grid, sigma: float) -> float:
+    """Largest t <= t_max up to which the Newtonian trajectory newton = (t, a, p)
+    over t_max, widened by _SEAM_WIDTHS packet widths
+    (dynamics.packet_width_bound), stays inside the periodic cell."""
+    t, a, _ = newton
     reach = _SEAM_WIDTHS * dyn.packet_width_bound(t, sigma, V, phys)
     clear = (a - reach > grid.x_min) & (a + reach < grid.x_max)
     if clear.all():
@@ -285,7 +276,7 @@ def _fit_horizon(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams, grid
     n_clear = int(np.argmin(clear))
     if n_clear < 2:
         raise ValidationError(
-            f"the packet from a = {q0.a:g} comes within {_SEAM_WIDTHS:g} widths of the "
+            f"the packet from a = {a[0]:g} comes within {_SEAM_WIDTHS:g} widths of the "
             f"periodic seam at t = {t[n_clear]:.3g}, leaving no positive horizon for the "
             "configured-potential trajectory (widen the grid or weaken the potential)")
     return float(t[n_clear - 1])
@@ -312,15 +303,16 @@ def run_geometry(cfg: ExperimentConfig) -> Report:
     rep.tables["overlap_distance.csv"] = (
         ["separation_over_sigma", "cos2_fs_distance", "closed_form", "deviation"], rows)
 
+    # kernel-space speed is |da/dt| / (2 sigma): distance is in units of 2 sigma
     speed = geo.h_norm_velocity(lambda t: 1.0 * t, ks)
-    rep.add(check_rel("isometry-unit-speed", speed, 1.0, 1e-4))
+    rep.add(check_rel("isometry-unit-speed", speed, 1.0 / (2.0 * sigma), 1e-4))
     rng = cfg.stream(20).generator()
     worst_rel = 0.0
     for _ in range(20):
         v = float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1)
         a0 = float(rng.uniform(-2.0, 2.0))
         got = geo.h_norm_velocity(lambda t: a0 + v * t, ks)
-        worst_rel = max(worst_rel, abs(got - abs(v)) / abs(v))
+        worst_rel = max(worst_rel, abs(2.0 * sigma * got - abs(v)) / abs(v))
     rep.add(check_upper("isometry-random-paths-max-rel-dev", worst_rel, 1e-4))
 
     v0, g0 = 0.8, 1.7
@@ -428,15 +420,19 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
                         dyn.anticommutator_identity_check(psi_r, "identity", Vh, phys), 1e-8))
 
     # constrained classical motion: canonical harmonic case over one period,
-    # then the configured potential over a horizon the packet actually fits.
-    # Each distinct (start, potential, horizon) is propagated once per run; on
-    # the default config the configured trajectory is the canonical one.
+    # then the configured potential up to its seam horizon, cut from its one
+    # leapfrog run over 2 pi.  On the default config it is the canonical one.
     @functools.cache
-    def paired(q, V, t_final):
-        return dyn._paired_trajectories(q, V, phys, grid, t_final, _TRAJECTORY_DT, 64)
+    def newton(q, V, t_max):
+        return dyn.newton_integrate(q.a, q.p, V, phys, t_max, _TRAJECTORY_DT, grid)
+
+    @functools.cache
+    def paired(q, V, t_final, t_max):
+        return dyn._paired_trajectories(q, V, phys, grid, t_final, _TRAJECTORY_DT, 64,
+                                        newton(q, V, t_max))
 
     def max_dev(q, V, t_final):
-        _, xs, ps, xn, pn = paired(q, V, t_final)
+        _, xs, ps, xn, pn = paired(q, V, t_final, t_final)
         return float(np.max(np.abs(xs - xn))), float(np.max(np.abs(ps - pn)))
 
     dev_x, dev_p = max_dev(q0, PotentialSpec.harmonic(1.0), 2.0 * np.pi)
@@ -445,8 +441,10 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
     devf_x, _ = max_dev(GaussianParams(0.0, 1.0, sigma), PotentialSpec.free(), 1.0)
     rep.add(check_upper("constrained-motion-free-max-dev-x", devf_x, 1e-6))
 
-    horizon = _fit_horizon(q0, cfg.potential, phys, grid, sigma, t_max=2.0 * np.pi)
-    t, xs, ps, xn, pn = paired(q0, cfg.potential, horizon)
+    t_max = 2.0 * np.pi
+    horizon = _seam_horizon(newton(q0, cfg.potential, t_max), t_max, cfg.potential,
+                            phys, grid, sigma)
+    t, xs, ps, xn, pn = paired(q0, cfg.potential, horizon, t_max)
     rep.add(check_upper("constrained-motion-config-max-dev-x",
                         float(np.max(np.abs(xs - xn))), 1e-4,
                         note=f"configured potential over t={horizon:.3g}"))
@@ -669,7 +667,7 @@ def main(argv=None) -> int:
         if args.subcommand in ("born-diffusion", "all"):
             _check_born_width(cfg)
         workers = _worker_count()
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

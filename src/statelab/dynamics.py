@@ -431,14 +431,15 @@ def anticommutator_identity_check(psi: StateVector, observable: str,
 
 
 def _paired_trajectories(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
-                         grid: Grid, t_final: float, dt: float, n_records: int):
+                         grid: Grid, t_final: float, dt: float, n_records: int, newton=None):
     """The packet's recorded (t, <x>, <p>) and the leapfrog trajectory started
-    at the same phase-space point, sampled at the record times."""
+    at the same phase-space point, sampled at the record times: newton, if
+    given (a newton_integrate result on this step to t_final or beyond)."""
     psi = realize(q0, grid, hbar=phys.hbar)
     t, xs, ps, _ = wavepacket_trajectory(psi, V, phys, t_final, dt, n_records)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
-    _, aa, pp = newton_integrate(q0.a, q0.p, V, phys, t_final, dt_eff, grid)
+    _, aa, pp = newton or newton_integrate(q0.a, q0.p, V, phys, t_final, dt_eff, grid)
     idx = np.rint(t / dt_eff).astype(int)
     return t, xs, ps, aa[idx], pp[idx]
 

@@ -33,7 +33,7 @@ class KernelSpace:
 
     def __post_init__(self):
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ValueError("kernel sigma must be positive")
 
     def _kernel(self, d):
         """k as a function of the minimal-image displacement d."""

@@ -5,8 +5,8 @@ import pytest
 
 from statelab import diffusion as diff
 from statelab.cli import (
-    DEFAULT_CONFIG, SECTIONS, ExperimentConfig, ValidationError, _check_born_width,
-    _fit_horizon, load_config, main, run_born_diffusion,
+    DEFAULT_CONFIG, SCHEMA, SECTIONS, ExperimentConfig, ValidationError, _check_born_width,
+    _seam_horizon, load_config, main, run_born_diffusion,
 )
 from statelab.diffusion import random_superposition
 from statelab.dynamics import PotentialSpec, newton_integrate, packet_width_bound
@@ -140,7 +140,8 @@ def test_horizon_stops_short_of_the_seam(tmp_path):
     cfg = load_config(cfgp, {})
     sigma = cfg.kernel.sigma
     q0 = GaussianParams(1.0, 0.0, sigma)
-    horizon = _fit_horizon(q0, cfg.potential, cfg.physics, cfg.grid, sigma, 2.0 * np.pi)
+    newton = newton_integrate(q0.a, q0.p, cfg.potential, cfg.physics, 2.0 * np.pi, 1e-3)
+    horizon = _seam_horizon(newton, 2.0 * np.pi, cfg.potential, cfg.physics, cfg.grid, sigma)
     assert 0.0 < horizon < 2.0 * np.pi
     # the packet's leading edge at the horizon is still inside the cell
     _, a, _ = newton_integrate(q0.a, q0.p, cfg.potential, cfg.physics, horizon, 1e-3)
@@ -156,7 +157,8 @@ def test_horizon_stops_short_of_the_seam(tmp_path):
 def test_horizon_rejects_a_packet_on_the_seam(grid, phys):
     q0 = GaussianParams(grid.x_max - 0.5, 0.0, 0.5)
     with pytest.raises(ValidationError):
-        _fit_horizon(q0, PotentialSpec.free(), phys, grid, 0.5, 2.0 * np.pi)
+        _seam_horizon(newton_integrate(q0.a, q0.p, PotentialSpec.free(), phys, 2.0 * np.pi, 1e-3),
+                      2.0 * np.pi, PotentialSpec.free(), phys, grid, 0.5)
 
 
 @pytest.mark.parametrize("data", [
@@ -419,3 +421,87 @@ def test_other_subcommands_accept_any_diffusion_width(tmp_path, subcommand):
     code, out = run(tmp_path, subcommand, "--config", cfgp, "--walkers", "2000")
     assert code == 0
     assert (out / "report.json").exists()
+
+
+def test_default_config_is_built_from_the_schema():
+    # the dict the schema replaced, written out
+    assert DEFAULT_CONFIG == {
+        "grid": {"n_points": 512, "x_min": -16.0, "x_max": 16.0, "periodic": True},
+        "physics": {"hbar": 1.0, "mass": 1.0},
+        "kernel": {"sigma": 0.5},
+        "potential": {"kind": "harmonic", "stiffness": 1.0, "center": 0.0},
+        "diffusion": {"n_walkers": 100000, "tau": 1.0, "diffusion_sigma": 0.5},
+        "seed": 20250809,
+        "out_dir": None,
+        "units": {
+            "grid.x_min": "length", "grid.x_max": "length",
+            "physics.hbar": "action", "physics.mass": "mass",
+            "kernel.sigma": "length",
+            "potential.stiffness": "energy/length^2", "potential.center": "length",
+            "diffusion.tau": "time", "diffusion.diffusion_sigma": "length",
+        },
+    }
+    assert all(SCHEMA[path][1] == unit for path, unit in DEFAULT_CONFIG["units"].items())
+
+
+@pytest.mark.parametrize("data, argv, path", [
+    ({"grid": {"n_point": 128}}, [], "grid.n_point"),
+    ({"diffusion": {"n_walker": 10}}, [], "diffusion.n_walker"),
+    ({"physics": {"hbar": "1.0"}}, [], "physics.hbar"),
+    ({"grid": {"x_min": "-16"}}, [], "grid.x_min"),
+    ({"potential": {"kind": "linear", "slope": 1.0, "stiffness": 3.0},
+      "units": {"potential.slope": "energy/length"}}, [], "potential.stiffness"),
+    ({"potential": {"kind": "harmonic", "stifness": 3.0}}, [], "potential.stifness"),
+    ({"potential": {"kind": "harmonic"}}, [], "potential.stiffness"),
+    ({"potential": {"kind": "noisy", "base": {"kind": "free", "slope": 1.0}, "noise_std": 0.1},
+      "units": {"potential.noise_std": "energy/length"}}, [], "potential.base.slope"),
+    ({"potential": {"kind": "noisy", "noise_std": 0.1,
+                    "base": {"kind": "noisy", "base": {}, "noise_std": 0.1}},
+      "units": {"potential.noise_std": "energy/length"}}, [], "potential.base.kind"),
+    ({"kernel": {"sigma": True}}, [], "kernel.sigma"),
+    ({"grid": 5}, ["--grid", "128"], "grid"),
+    ({"units": {"grid.n_points": "count"}}, [], "grid.n_points"),
+], ids=["n_point", "n_walker", "hbar-string", "x_min-string", "field-of-another-kind",
+        "stifness", "missing-stiffness", "base-field", "nested-noisy", "sigma-bool",
+        "grid-int-with-flag", "unit-of-a-count"])
+def test_config_is_checked_against_the_schema(tmp_path, capsys, data, argv, path):
+    # the typos used to run the defaults (exit 0) and echo themselves, the
+    # strings ran through float(), and linear ignored its stiffness
+    code, out = run(tmp_path, "geometry-identities", "--config", write_config(tmp_path, data),
+                    *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and path in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_flag_overrides_take_the_field_check():
+    with pytest.raises(ValidationError, match="grid.n_points must be an integer"):
+        ExperimentConfig({}, {"grid.n_points": 128.0})
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        ExperimentConfig({}, {"seed": True})
+
+
+@pytest.mark.parametrize("subcommand, smallest", [
+    ("geometry-identities", 72), ("dynamics-checks", 72), ("born-diffusion", 256),
+])
+def test_smallest_admitted_grid_passes(tmp_path, capsys, subcommand, smallest):
+    # dx <= 0.9 min(sigma, 0.5) everywhere and dx <= sigma/4 for born-diffusion:
+    # on the default cell (L = 32, sigma = 0.5) n_points 72 and 256
+    code, _ = run(tmp_path / "fewer", subcommand, "--grid", str(smallest - 1))
+    err = capsys.readouterr().err
+    assert code == 2 and "grid spacing" in err and f"at least {smallest}" in err
+    code, out = run(tmp_path, subcommand, "--grid", str(smallest))
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["overall_pass"] is True
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.8])
+def test_geometry_passes_at_other_kernel_widths(tmp_path, sigma):
+    # the kernel-space speed of a delta path is |v| / (2 sigma)
+    code, out = run(tmp_path, "geometry-identities", "--config",
+                    write_config(tmp_path, {"kernel": {"sigma": sigma}}))
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["isometry-unit-speed"]["reference"] == pytest.approx(1.0 / (2.0 * sigma))
