@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -141,6 +140,15 @@ def _potential_from_config(d: dict, seed: int, path: str = "potential") -> Poten
     return PotentialSpec.noisy(base, d["noise_std"], RngStream(seed, 15))
 
 
+def _build(section: str, make, *args):
+    """make(*args) under the library's own argument checks, whose messages
+    start with the field at fault, so the error names that field's path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValidationError(f"invalid config: {section}.{exc}") from exc
+
+
 class ExperimentConfig:
     """Validated configuration bundle; fully determines every run.  overrides
     maps SCHEMA paths to values that replace the merged config's."""
@@ -164,14 +172,11 @@ class ExperimentConfig:
             raise ValidationError(
                 "grid.periodic must be true: the propagator and the grid deltas are spectral")
         self.seed, self.out_dir, self.echo = merged["seed"], merged["out_dir"], merged
-        try:   # the library's own argument checks
-            self.grid = Grid(g["n_points"], float(g["x_min"]), float(g["x_max"]), True)
-            self.physics = PhysicsParams(float(ph["hbar"]), float(ph["mass"]))
-            self.kernel = KernelSpace(self.grid, float(merged["kernel"]["sigma"]))
-            self.diffusion = diff.DiffusionConfig(d["n_walkers"], float(d["tau"]),
-                                                  float(d["diffusion_sigma"]), self.stream(10))
-        except ValueError as exc:
-            raise ValidationError(f"invalid config: {exc}") from exc
+        self.grid = _build("grid", Grid, g["n_points"], float(g["x_min"]), float(g["x_max"]), True)
+        self.physics = _build("physics", PhysicsParams, float(ph["hbar"]), float(ph["mass"]))
+        self.kernel = _build("kernel", KernelSpace, self.grid, float(merged["kernel"]["sigma"]))
+        self.diffusion = _build("diffusion", diff.DiffusionConfig, d["n_walkers"],
+                                float(d["tau"]), float(d["diffusion_sigma"]))
         sigma = self.kernel.sigma
         if self.grid.length <= 36.0 * sigma:
             raise ValidationError(
@@ -227,16 +232,6 @@ def _check_born_width(cfg: ExperimentConfig) -> None:
             f"diffusion.diffusion_sigma ({sigma_d!r}) must equal kernel.sigma ({sigma!r}) "
             "for born-diffusion: the Born identity holds only for equal widths")
     _check_spacing(cfg.grid, sigma / 4.0, "kernel.sigma / 4 for born-diffusion")
-
-
-def _worker_count() -> int:
-    """Worker threads for ``all``: STATELAB_THREADS, or automatic when unset."""
-    env = os.environ.get("STATELAB_THREADS", "").strip()
-    if not env:
-        return min(4, len(SECTIONS))
-    if not env.isdecimal() or int(env) < 1:
-        raise ValidationError(f"STATELAB_THREADS must be a positive integer, not {env!r}")
-    return int(env)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -509,24 +504,21 @@ def run_born_diffusion(cfg: ExperimentConfig) -> Report:
     rep = Report("born-diffusion", cfg.echo)
     ks, dcfg = cfg.kernel, cfg.diffusion
 
-    def on(stream: RngStream) -> diff.DiffusionConfig:
-        return dataclasses.replace(dcfg, stream=stream)
-
     def superposition(case: int):
         psi, dec = diff.random_superposition(ks, cfg.stream(11).child(case))
-        est = diff.simulate_state_diffusion(psi, on(cfg.stream(12).child(case)), ks, dec=dec)
+        est = diff.simulate_state_diffusion(psi, dcfg, cfg.stream(12).child(case), ks, dec=dec)
         return dec.centers, est
 
     # the PDE march, 10 random superpositions, and single- and two-component
     # states: independent ensembles, each on its own stream
     b1, b2 = -3.0 * ks.sigma, 3.0 * ks.sigma
     v2 = (0.6 * geo.embed_point(b1, ks).values + 0.8 * geo.embed_point(b2, ks).values)
-    jobs = [functools.partial(diff.verify_diffusion_pde, on(cfg.stream(13)), n_epochs=2),
+    jobs = [functools.partial(diff.verify_diffusion_pde, dcfg, cfg.stream(13), n_epochs=2),
             *(functools.partial(superposition, case) for case in range(10)),
             functools.partial(diff.simulate_state_diffusion, geo.embed_point(0.0, ks),
-                              on(cfg.stream(18)), ks, centers=np.array([0.0])),
+                              dcfg, cfg.stream(18), ks, centers=np.array([0.0])),
             functools.partial(diff.simulate_state_diffusion, StateVector(cfg.grid, v2).normalized(),
-                              on(cfg.stream(19)), ks, centers=np.array([b1, b2]))]
+                              dcfg, cfg.stream(19), ks, centers=np.array([b1, b2]))]
     with diff._thread_pool(len(jobs)) as pool:
         futures = [pool.submit(job) for job in jobs]
 
@@ -591,8 +583,7 @@ def run_solid_com(cfg: ExperimentConfig) -> Report:
     kick = dcfg.diffusion_sigma
     k_estimates, rows = [], []
     for i, n_cells in enumerate((1, 10, 100)):
-        k_est = diff.solid_com_diffusion(
-            n_cells, kick, dataclasses.replace(dcfg, stream=cfg.stream(14).child(i)))
+        k_est = diff.solid_com_diffusion(n_cells, kick, dcfg, cfg.stream(14).child(i))
         k_estimates.append(k_est)
         rows.append((n_cells, k_est, k_est / max(k_estimates[0], 1e-300), 1.0 / n_cells))
     for (n_cells, k_est, ratio, expected) in rows:
@@ -600,8 +591,8 @@ def run_solid_com(cfg: ExperimentConfig) -> Report:
     rep.add(check_upper("com-suppression-monotone",
                         float(max(np.diff(k_estimates))), 0.0,
                         note="diffusion coefficient decreases with n_cells"))
-    zero = diff.solid_com_diffusion(
-        10, 0.0, dataclasses.replace(dcfg, n_walkers=1000, stream=cfg.stream(14).child(9)))
+    zero = diff.solid_com_diffusion(10, 0.0, dataclasses.replace(dcfg, n_walkers=1000),
+                                    cfg.stream(14).child(9))
     rep.add(check_abs("com-zero-kick", zero, 0.0, 0.0))
     rep.tables["solid_scaling.csv"] = (["n_cells", "k_estimate", "ratio_to_single",
                                         "expected_ratio"], rows)
@@ -634,9 +625,11 @@ def _run_section(name: str, cfg: ExperimentConfig) -> tuple[Report, int]:
         return Report(name, cfg.echo, [check_upper("section-error", 1.0, 0.0, note=msg)]), code
 
 
-def run_all(cfg: ExperimentConfig, workers: int) -> tuple[Report, int]:
+def run_all(cfg: ExperimentConfig) -> tuple[Report, int]:
+    """Every section, each on its own thread.  No output depends on the
+    core count: each section draws from its own streams."""
     names = list(SECTIONS)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(names)) as pool:
         results = list(pool.map(lambda n: _run_section(n, cfg), names))
     rep = Report("all", cfg.echo)
     for name, (sub, _) in zip(names, results):
@@ -666,7 +659,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, vars(args))
         if args.subcommand in ("born-diffusion", "all"):
             _check_born_width(cfg)
-        workers = _worker_count()
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -680,7 +672,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     if args.subcommand == "all":
-        report, code = run_all(cfg, workers)
+        report, code = run_all(cfg)
     else:
         report, code = _run_section(args.subcommand, cfg)
     elapsed = time.perf_counter() - started

@@ -34,7 +34,6 @@ class DiffusionConfig:
     n_walkers: int
     tau: float = 1.0
     diffusion_sigma: float = 0.5
-    stream: RngStream = RngStream(0, 0)
 
     def __post_init__(self):
         if self.n_walkers < 1:
@@ -132,13 +131,13 @@ def decompose_state(psi: StateVector, ks: KernelSpace, spacing: float,
 _KICK_BUFFER_NORMALS = 2**17
 
 
-def _epoch_steps(cfg: DiffusionConfig, n_epochs: int) -> list[np.ndarray]:
+def _epoch_steps(cfg: DiffusionConfig, stream: RngStream, n_epochs: int) -> list[np.ndarray]:
     """Brownian displacements, one array over the walkers per epoch; walker
     i takes row i of one (n_walkers, n_epochs) draw.  The rows are drawn in
     chunks through one reused buffer, so no walkers x epochs array is built."""
     if n_epochs < 1:
         raise ValueError("n_epochs must be at least 1")
-    rng = cfg.stream.generator()
+    rng = stream.generator()
     rows = max(1, _KICK_BUFFER_NORMALS // n_epochs)
     buf = np.empty((min(rows, cfg.n_walkers), n_epochs))
     steps = [np.empty(cfg.n_walkers) for _ in range(n_epochs)]
@@ -160,8 +159,8 @@ def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
     return np.diff(at_edges)
 
 
-def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelSpace,
-                             spacing: Optional[float] = None,
+def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, stream: RngStream,
+                             ks: KernelSpace, spacing: Optional[float] = None,
                              centers: Optional[Sequence[float]] = None,
                              dec: Optional[ComponentDecomposition] = None) -> DensityEstimate:
     """Diffuse the components of psi and histogram the arrivals.
@@ -184,7 +183,7 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelS
             f"state decomposition is not near-orthogonal "
             f"(max overlap {dec.max_offdiag_overlap:.3f} >= 0.05)")
 
-    comp, finals = _draw_arrivals(dec.centers, dec.weights, cfg)
+    comp, finals = _draw_arrivals(dec.centers, dec.weights, cfg, stream)
 
     occupied = dec.centers[dec.weights > 1e-12]
     lo = occupied.min() - 6.0 * ks.sigma
@@ -215,14 +214,15 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, ks: KernelS
         arrival_uniforms=uniforms)
 
 
-def _draw_arrivals(centers: np.ndarray, weights: np.ndarray, cfg: DiffusionConfig):
+def _draw_arrivals(centers: np.ndarray, weights: np.ndarray, cfg: DiffusionConfig,
+                   stream: RngStream):
     """The sampler: each walker's component j, drawn with probability w_j,
     and its arrival b_j + diffusion_sigma * N(0, 1), formed in the normals'
     own array."""
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    comp = np.searchsorted(cum, cfg.stream.child(0).generator().random(cfg.n_walkers))
-    arrivals = cfg.stream.child(1).generator().standard_normal(cfg.n_walkers)
+    comp = np.searchsorted(cum, stream.child(0).generator().random(cfg.n_walkers))
+    arrivals = stream.child(1).generator().standard_normal(cfg.n_walkers)
     arrivals *= cfg.diffusion_sigma
     arrivals += centers[comp]
     return comp, arrivals
@@ -317,7 +317,7 @@ class PdeCheck:
     expected_variances: np.ndarray
 
 
-def verify_diffusion_pde(cfg: DiffusionConfig, start: float = 0.0,
+def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream, start: float = 0.0,
                          n_epochs: int = 2) -> PdeCheck:
     """March the walker histogram through Brownian epochs and compare against
     the heat kernel with diffusion coefficient k = diffusion_sigma^2/(2 tau).
@@ -327,7 +327,7 @@ def verify_diffusion_pde(cfg: DiffusionConfig, start: float = 0.0,
     per-epoch variances exhibit additivity.
     """
     # displacement after each epoch, accumulated in place
-    disp = _epoch_steps(cfg, n_epochs)
+    disp = _epoch_steps(cfg, stream, n_epochs)
     for e in range(1, n_epochs):
         disp[e] += disp[e - 1]
     width = cfg.diffusion_sigma / 4.0
@@ -373,7 +373,7 @@ def _block_generator(stream: RngStream) -> np.random.Generator:
 
 
 def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
-                        n_steps: int = 8) -> float:
+                        stream: RngStream, n_steps: int = 8) -> float:
     """Estimated center-of-mass diffusion coefficient of an n-cell solid.
 
     Every cell receives an independent Gaussian kick each step; the COM moves
@@ -381,7 +381,7 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
     / (2 * n_steps * tau); it scales as 1/n_cells.
 
     The walkers are split into _BLOCKS blocks (np.array_split sizes); block b
-    draws from an SFC64 generator keyed by cfg.stream.child(b), and the
+    draws from an SFC64 generator keyed by stream.child(b), and the
     blocks run on a _thread_pool.  Each block reuses one kick buffer of
     _KICK_BUFFER_NORMALS normals (at least one row), so memory stays flat as
     walkers x cells grow.  The fills and row means release the GIL, and the
@@ -396,7 +396,7 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
     rows = max(1, _KICK_BUFFER_NORMALS // n_cells)
 
     def block(b: int, size: int) -> np.ndarray:
-        rng = _block_generator(cfg.stream.child(b))
+        rng = _block_generator(stream.child(b))
         buf = np.empty((min(rows, size), n_cells))
         disp = np.zeros(size)
         for _ in range(n_steps):

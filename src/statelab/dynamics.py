@@ -35,8 +35,9 @@ class PhysicsParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be strictly positive")
+        for name in ("hbar", "mass"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be strictly positive")
 
 
 def _polynomial(coeffs, u):

@@ -48,6 +48,9 @@ class Grid:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not np.isfinite(float(self.x_max) - float(self.x_min)):
+            raise ValueError(f"x_max - x_min is not finite (x_min {self.x_min!r}, "
+                             f"x_max {self.x_max!r})")
 
     @property
     def dx(self) -> float:

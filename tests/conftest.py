@@ -31,8 +31,8 @@ def mixture_ks():
     redraw of the arrivals and the mixture sum_j w_j Normal(b_j, sigma_d^2).
     The redraw goes through diffusion._draw_arrivals as the module holds it
     at call time, so a defect a test patches in is drawn too."""
-    def statistic(centers, weights, cfg):
-        _, arrivals = diffusion._draw_arrivals(centers, weights, cfg)
+    def statistic(centers, weights, cfg, stream):
+        _, arrivals = diffusion._draw_arrivals(centers, weights, cfg, stream)
 
         def cdf(x):
             return sum(w * stats.norm.cdf((x - b) / cfg.diffusion_sigma)

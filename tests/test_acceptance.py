@@ -176,8 +176,8 @@ def test_criterion_07_hamiltonian_reconstruction():
 
 def test_criterion_08_diffusion_pde():
     with _Budget(8, "heat-kernel sup residual < 0.03; variance additivity 5%", 30.0):
-        cfg = DiffusionConfig(100_000, 1.0, SIGMA, RngStream(SEED, 13))
-        res = verify_diffusion_pde(cfg, n_epochs=2)
+        cfg = DiffusionConfig(100_000, 1.0, SIGMA)
+        res = verify_diffusion_pde(cfg, RngStream(SEED, 13), n_epochs=2)
         assert res.max_sup_residual < 0.03
         for var, want in zip(res.variances, res.expected_variances):
             assert abs(var - want) <= 0.05 * want
@@ -187,8 +187,8 @@ def test_criterion_09_born_rule():
     with _Budget(9, "Born histograms: L1 < 0.02 and masses within 3 sd, 10 cases", 60.0):
         for case in range(10):
             psi, dec = random_superposition(KS, RngStream(SEED, 11).child(case))
-            cfg = DiffusionConfig(100_000, 1.0, SIGMA, RngStream(SEED, 12).child(case))
-            est = simulate_state_diffusion(psi, cfg, KS, dec=dec)
+            cfg = DiffusionConfig(100_000, 1.0, SIGMA)
+            est = simulate_state_diffusion(psi, cfg, RngStream(SEED, 12).child(case), KS, dec=dec)
             assert est.l1_error < 0.02
             for w, m in zip(est.expected_weights, est.component_masses):
                 sd = np.sqrt(w * (1 - w) / est.n_walkers)
@@ -216,8 +216,8 @@ def test_criterion_11_com_diffusion_suppression():
     with _Budget(11, "COM suppression 1/n within 10% at n in {1,10,100}", 30.0):
         estimates = {}
         for i, n_cells in enumerate((1, 10, 100)):
-            cfg = DiffusionConfig(100_000, 1.0, SIGMA, RngStream(SEED, 14).child(i))
-            estimates[n_cells] = solid_com_diffusion(n_cells, 0.5, cfg)
+            cfg = DiffusionConfig(100_000, 1.0, SIGMA)
+            estimates[n_cells] = solid_com_diffusion(n_cells, 0.5, cfg, RngStream(SEED, 14).child(i))
         for n_cells in (1, 10, 100):
             ratio = estimates[n_cells] / estimates[1]
             assert abs(ratio - 1.0 / n_cells) <= 0.10 / n_cells

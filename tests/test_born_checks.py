@@ -23,8 +23,8 @@ SIGMA = 0.5
 
 def _estimate(ks, seed, n, case=0):
     psi, dec = random_superposition(ks, RngStream(seed, 11).child(case))
-    cfg = DiffusionConfig(n, 1.0, SIGMA, RngStream(seed, 12).child(case))
-    return simulate_state_diffusion(psi, cfg, ks, dec=dec), dec.centers, cfg
+    cfg, stream = DiffusionConfig(n, 1.0, SIGMA), RngStream(seed, 12).child(case)
+    return simulate_state_diffusion(psi, cfg, stream, ks, dec=dec), dec.centers, cfg, stream
 
 
 def test_pooled_ks_equals_scipy_kstest(ks):
@@ -36,14 +36,14 @@ def test_pooled_ks_equals_scipy_kstest(ks):
 
 
 def test_arrival_uniforms_are_each_arrivals_own_component_cdf(ks):
-    est, centers, cfg = _estimate(ks, 5, 1000)
-    comp, finals = diff._draw_arrivals(centers, est.expected_weights, cfg)
+    est, centers, cfg, stream = _estimate(ks, 5, 1000)
+    comp, finals = diff._draw_arrivals(centers, est.expected_weights, cfg, stream)
     want = np.sort(stats.norm.cdf((finals - centers[comp]) / SIGMA))
     assert np.max(np.abs(est.arrival_uniforms - want)) <= 1e-15
 
 
 def test_chi2_matches_pearson_and_its_quantile(ks):
-    est, centers, _ = _estimate(ks, 8, 20000)
+    est, centers, _, _ = _estimate(ks, 8, 20000)
     stat, df, bound = diff.component_mass_chi2([est, est], ALPHA)
     observed = np.rint(est.component_masses * est.n_walkers)
     expected = est.n_walkers * est.expected_weights
@@ -73,19 +73,19 @@ SEEDS = range(12)
 def _tilted(eps):
     draw = diff._draw_arrivals
 
-    def tilted(centers, weights, cfg):
+    def tilted(centers, weights, cfg, stream):
         # w_j (1 + eps t_j), t_j running linearly from +1 to -1
         w = weights * (1.0 + eps * np.linspace(1.0, -1.0, len(weights)))
-        return draw(centers, w / w.sum(), cfg)
+        return draw(centers, w / w.sum(), cfg, stream)
     return tilted
 
 
 def _widened(factor):
     draw = diff._draw_arrivals
 
-    def widened(centers, weights, cfg):
+    def widened(centers, weights, cfg, stream):
         cfg = dataclasses.replace(cfg, diffusion_sigma=factor * cfg.diffusion_sigma)
-        return draw(centers, weights, cfg)
+        return draw(centers, weights, cfg, stream)
     return widened
 
 
@@ -94,12 +94,12 @@ def _caught(ks, seed, mixture_ks):
     the replaced per-case KS against the mixture is the test-side oracle."""
     ests, old = [], False
     for case in range(10):
-        est, centers, cfg = _estimate(ks, seed, 100_000, case)
+        est, centers, cfg, stream = _estimate(ks, seed, 100_000, case)
         ests.append(est)
         w, m = est.expected_weights, est.component_masses
         z = np.abs(m - w) / np.sqrt(w * (1.0 - w) / est.n_walkers)
         old = (old or z.max() > 3.0
-               or mixture_ks(centers, w, cfg) > 1.628 / np.sqrt(est.n_walkers))
+               or mixture_ks(centers, w, cfg, stream) > 1.628 / np.sqrt(est.n_walkers))
     chi2, _, chi2_bound = diff.component_mass_chi2(ests, ALPHA)
     ks_stat, ks_bound = diff.pooled_arrival_ks(ests, ALPHA)
     return old, chi2 > chi2_bound or ks_stat > ks_bound

@@ -118,14 +118,6 @@ def test_non_periodic_grid_exits_two(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-1"])
-def test_bad_thread_count_exits_two(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("STATELAB_THREADS", threads)
-    code, out = run(tmp_path, "all")
-    assert code == 2
-    assert not (out / "report.json").exists()
-
-
 def test_dynamics_checks_exit_zero(tmp_path):
     code, out = run(tmp_path, "dynamics-checks")
     assert code == 0
@@ -177,13 +169,24 @@ def test_trajectory_step_guard_rejected_at_validation(tmp_path, capsys, data):
 
 
 def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
-    # exit 1 is allowed: the statistical bounds are pinned at 1e5 walkers
-    outs = []
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("STATELAB_THREADS", threads)
-        code, out = run(tmp_path / threads, "all", "--walkers", "2000")
+    # the sections' pools take one thread per available core, so one core and
+    # two give the same files; exit 1 is allowed: the statistical bounds are
+    # pinned at 1e5 walkers
+    pools, outs = [], []
+    real_pool = diff.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools[-1].add(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(diff, "ThreadPoolExecutor", spy)
+    for cores in ({0}, {0, 1}):
+        pools.append(set())
+        monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        code, out = run(tmp_path / str(len(cores)), "all", "--walkers", "2000")
         assert code in (0, 1)
         outs.append(out)
+    assert pools == [{1}, {2}]
     files = sorted(p.name for p in outs[0].iterdir())
     assert "report.json" in files and "trajectory.csv" in files
     for other in outs[1:]:
@@ -203,6 +206,35 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, data, path):
     assert code == 2
     assert path in err and "finite" in err
     assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"physics": {"mass": 0}}, "physics.mass"),
+    ({"kernel": {"sigma": -1}}, "kernel.sigma"),
+    ({"diffusion": {"n_walkers": 0}}, "diffusion.n_walkers"),
+    ({"grid": {"n_points": 1}}, "grid.n_points"),
+], ids=["mass-0", "sigma-negative", "walkers-0", "n_points-1"])
+def test_library_argument_error_names_its_path(tmp_path, capsys, data, path):
+    # the library constructors' own checks, reported under the config path
+    code, out = run(tmp_path, "all", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"invalid config: {path} must be" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cell_whose_length_overflows_exits_two(tmp_path, capsys):
+    # rejected by path before any array is built: on this cell Grid.wrap
+    # overflows, and the step guard would blame the potential
+    data = {"grid": {"x_min": -1e308, "x_max": 1e308}}
+    code, out = run(tmp_path, "all", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("config error: invalid config: grid.x_max - x_min is not finite "
+                   "(x_min -1e+308, x_max 1e+308)\n")
     assert not (out / "report.json").exists()
 
 

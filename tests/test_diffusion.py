@@ -14,8 +14,12 @@ from statelab.numerics import Grid, NumericalBreakdownError
 SIGMA = 0.5
 
 
-def cfg(n=100_000, stream_id=1, seed=77, ds=SIGMA):
-    return DiffusionConfig(n, 1.0, ds, RngStream(seed, stream_id))
+def cfg(n=100_000, ds=SIGMA):
+    return DiffusionConfig(n, 1.0, ds)
+
+
+def stream(stream_id=1, seed=77):
+    return RngStream(seed, stream_id)
 
 
 # ------------------------------------------------------------- decompose
@@ -73,7 +77,7 @@ def test_decompose_near_orthogonal_flag(grid, ks):
 
 def test_epoch_steps_moments():
     c = cfg()
-    steps = diffusion._epoch_steps(c, 1)
+    steps = diffusion._epoch_steps(c, stream(), 1)
     assert len(steps) == 1 and steps[0].shape == (c.n_walkers,)
     finals = steps[0]
     assert abs(finals.mean()) < 4 * c.diffusion_sigma / np.sqrt(c.n_walkers)
@@ -81,10 +85,10 @@ def test_epoch_steps_moments():
 
 
 def test_epoch_steps_deterministic():
-    a = diffusion._epoch_steps(cfg(seed=5), 1)
-    b = diffusion._epoch_steps(cfg(seed=5), 1)
+    a = diffusion._epoch_steps(cfg(), stream(seed=5), 1)
+    b = diffusion._epoch_steps(cfg(), stream(seed=5), 1)
     assert np.array_equal(a, b)
-    c = diffusion._epoch_steps(cfg(seed=6), 1)
+    c = diffusion._epoch_steps(cfg(), stream(seed=6), 1)
     assert not np.allclose(a, c)
 
 
@@ -92,10 +96,10 @@ def test_epoch_steps_deterministic():
 def test_epoch_steps_are_rows_of_one_draw(monkeypatch, normals):
     # chunks of one row, of 3 rows over 2 epochs, and the whole ensemble
     # consume the stream as one (n_walkers, n_epochs) draw does
-    c = cfg(n=1001, stream_id=8)
-    want = c.stream.generator().standard_normal((1001, 2)) * c.diffusion_sigma
+    c = cfg(n=1001)
+    want = stream(8).generator().standard_normal((1001, 2)) * c.diffusion_sigma
     monkeypatch.setattr(diffusion, "_KICK_BUFFER_NORMALS", normals)
-    steps = diffusion._epoch_steps(c, 2)
+    steps = diffusion._epoch_steps(c, stream(8), 2)
     assert np.array_equal(np.column_stack(steps), want)
 
 
@@ -103,7 +107,7 @@ def test_epoch_steps_are_rows_of_one_draw(monkeypatch, normals):
 
 def test_simulate_single_component(grid, ks):
     psi = embed_point(0.0, ks)
-    est = simulate_state_diffusion(psi, cfg(stream_id=2), ks, centers=np.array([0.0]))
+    est = simulate_state_diffusion(psi, cfg(), stream(2), ks, centers=np.array([0.0]))
     assert est.l1_error < 0.02
     assert est.component_masses[0] == 1.0
     total_mass = est.counts.sum() / est.n_walkers
@@ -116,7 +120,7 @@ def test_simulate_two_component_split(grid, ks):
     b1, b2 = -1.5, 1.5
     vals = 0.6 * embed_point(b1, ks).values + 0.8 * embed_point(b2, ks).values
     psi = StateVector(grid, vals).normalized()
-    est = simulate_state_diffusion(psi, cfg(stream_id=3), ks, centers=np.array([b1, b2]))
+    est = simulate_state_diffusion(psi, cfg(), stream(3), ks, centers=np.array([b1, b2]))
     # mass on the two half-lines splits 0.36 / 0.64
     mids = 0.5 * (est.bin_edges[:-1] + est.bin_edges[1:])
     left = est.counts[mids < 0].sum() / est.n_walkers
@@ -129,8 +133,8 @@ def test_simulate_degenerate_kernel_limit(grid, ks):
     b1, b2 = -1.5, 1.5
     vals = 0.6 * embed_point(b1, ks).values + 0.8 * embed_point(b2, ks).values
     psi = StateVector(grid, vals).normalized()
-    c = cfg(n=20_000, stream_id=4, ds=1e-9)
-    est = simulate_state_diffusion(psi, c, ks, centers=np.array([b1, b2]))
+    c = cfg(n=20_000, ds=1e-9)
+    est = simulate_state_diffusion(psi, c, stream(4), ks, centers=np.array([b1, b2]))
     mids = 0.5 * (est.bin_edges[:-1] + est.bin_edges[1:])
     occupied = est.counts > 0
     assert np.all(np.minimum(np.abs(mids[occupied] - b1),
@@ -141,29 +145,29 @@ def test_simulate_degenerate_kernel_limit(grid, ks):
 def test_simulate_requires_near_orthogonal(grid, ks):
     psi = embed_point(0.0, ks)
     with pytest.raises(ValueError):
-        simulate_state_diffusion(psi, cfg(n=1000), ks, spacing=3 * SIGMA)
+        simulate_state_diffusion(psi, cfg(n=1000), stream(), ks, spacing=3 * SIGMA)
 
 
 def test_born_statistics_random_superpositions(grid, ks, mixture_ks):
     # module-level spot check (3 cases); the acceptance suite runs all 10
     for case in range(3):
         psi, dec = random_superposition(ks, RngStream(42, 11).child(case))
-        c = cfg(stream_id=100 + case)
-        est = simulate_state_diffusion(psi, c, ks, dec=dec)
+        c, s = cfg(), stream(100 + case)
+        est = simulate_state_diffusion(psi, c, s, ks, dec=dec)
         assert est.l1_error < 0.02
         for w, m in zip(est.expected_weights, est.component_masses):
             sd = np.sqrt(w * (1 - w) / est.n_walkers)
             assert abs(m - w) <= 3 * sd
-        assert mixture_ks(dec.centers, dec.weights, c) < 1.628 / np.sqrt(est.n_walkers)
+        assert mixture_ks(dec.centers, dec.weights, c, s) < 1.628 / np.sqrt(est.n_walkers)
 
 
 def test_superposition_decomposition_is_the_one_simulated(ks):
     # passing random_superposition's decomposition skips a second one over
     # the same centers, and changes no output
     psi, dec = random_superposition(ks, RngStream(42, 11).child(4))
-    c = cfg(n=5000, stream_id=104)
-    given = simulate_state_diffusion(psi, c, ks, dec=dec)
-    redone = simulate_state_diffusion(psi, c, ks, centers=dec.centers)
+    c = cfg(n=5000)
+    given = simulate_state_diffusion(psi, c, stream(104), ks, dec=dec)
+    redone = simulate_state_diffusion(psi, c, stream(104), ks, centers=dec.centers)
     for field in ("bin_edges", "counts", "density", "reference_density",
                   "component_masses", "expected_weights", "arrival_uniforms"):
         assert np.array_equal(getattr(given, field), getattr(redone, field)), field
@@ -174,11 +178,11 @@ def test_state_diffusion_memory_at_1e5_walkers(ks):
     # the arrivals are drawn, shifted, histogrammed and mapped to their
     # uniforms in one 0.8 MB array; the walkers' components take another
     psi, dec = random_superposition(ks, RngStream(42, 11).child(0))
-    c = cfg(stream_id=18)
-    simulate_state_diffusion(psi, c, ks, dec=dec)   # one-off allocations
+    c = cfg()
+    simulate_state_diffusion(psi, c, stream(18), ks, dec=dec)   # one-off allocations
     tracemalloc.start()
     try:
-        simulate_state_diffusion(psi, c, ks, dec=dec)
+        simulate_state_diffusion(psi, c, stream(18), ks, dec=dec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -191,11 +195,11 @@ def test_linearity_of_simulated_density(grid, ks):
     vals = (np.sqrt(0.3) * embed_point(b[0], ks).values
             + np.sqrt(0.7) * embed_point(b[1], ks).values)
     psi = StateVector(grid, vals).normalized()
-    est = simulate_state_diffusion(psi, cfg(stream_id=5), ks, centers=b)
+    est = simulate_state_diffusion(psi, cfg(), stream(5), ks, centers=b)
 
     singles = []
     for j, bj in enumerate(b):
-        ej = simulate_state_diffusion(embed_point(bj, ks), cfg(stream_id=6 + j), ks,
+        ej = simulate_state_diffusion(embed_point(bj, ks), cfg(), stream(6 + j), ks,
                                       centers=np.array([bj]))
         singles.append(np.interp(
             0.5 * (est.bin_edges[:-1] + est.bin_edges[1:]),
@@ -257,7 +261,7 @@ def test_density_functional_ray_invariance(grid, ks, rng):
 # ------------------------------------------------------------- diffusion PDE
 
 def test_verify_diffusion_pde(grid):
-    res = verify_diffusion_pde(cfg(stream_id=8), n_epochs=2)
+    res = verify_diffusion_pde(cfg(), stream(8), n_epochs=2)
     assert res.max_sup_residual < 0.03
     assert res.variances[0] == pytest.approx(res.expected_variances[0], rel=0.05)
     assert res.variances[1] == pytest.approx(res.expected_variances[1], rel=0.05)
@@ -265,48 +269,48 @@ def test_verify_diffusion_pde(grid):
 
 
 def test_verify_diffusion_pde_zero_epochs_degenerate():
-    c = DiffusionConfig(1000, 1.0, 1e-12, RngStream(3, 9))
-    res = verify_diffusion_pde(c, n_epochs=1)
+    c = DiffusionConfig(1000, 1.0, 1e-12)
+    res = verify_diffusion_pde(c, RngStream(3, 9), n_epochs=1)
     assert res.variances[0] < 1e-20     # all walkers stay in the start bin
 
 
 def test_epoch_count_must_be_positive():
     # zero epochs would check nothing: an empty PdeCheck passes any bound
     with pytest.raises(ValueError):
-        verify_diffusion_pde(cfg(n=1000, stream_id=8), n_epochs=0)
+        verify_diffusion_pde(cfg(n=1000), stream(8), n_epochs=0)
     with pytest.raises(ValueError):
-        diffusion._epoch_steps(cfg(n=1000), 0)
+        diffusion._epoch_steps(cfg(n=1000), stream(), 0)
 
 
 # ------------------------------------------------------------- solid COM
 
 def test_solid_single_cell_matches_brownian():
-    c = cfg(stream_id=10)
-    k1 = solid_com_diffusion(1, c.diffusion_sigma, c, n_steps=4)
+    c = cfg()
+    k1 = solid_com_diffusion(1, c.diffusion_sigma, c, stream(10), n_steps=4)
     expected = c.diffusion_sigma**2 / (2 * c.tau)
     assert k1 == pytest.approx(expected, rel=0.05)
 
 
 def test_solid_com_scaling():
-    base = solid_com_diffusion(1, 0.5, cfg(stream_id=11), n_steps=4)
-    k100 = solid_com_diffusion(100, 0.5, cfg(stream_id=12), n_steps=4)
+    base = solid_com_diffusion(1, 0.5, cfg(), stream(11), n_steps=4)
+    k100 = solid_com_diffusion(100, 0.5, cfg(), stream(12), n_steps=4)
     assert k100 / base == pytest.approx(0.01, rel=0.10)
 
 
 def test_solid_zero_kick():
-    assert solid_com_diffusion(10, 0.0, cfg(n=1000, stream_id=13)) == 0.0
+    assert solid_com_diffusion(10, 0.0, cfg(n=1000), stream(13)) == 0.0
 
 
 def test_solid_validation():
     with pytest.raises(ValueError):
-        solid_com_diffusion(0, 0.5, cfg(n=10))
+        solid_com_diffusion(0, 0.5, cfg(n=10), stream())
 
 
 def test_solid_step_count_must_be_positive():
     # no steps means no displacement variance to estimate (0 gives nan, -3 gives -0.0)
     for n_steps in (0, -3):
         with pytest.raises(ValueError):
-            solid_com_diffusion(10, 0.5, cfg(n=10), n_steps=n_steps)
+            solid_com_diffusion(10, 0.5, cfg(n=10), stream(), n_steps=n_steps)
 
 
 def test_solid_blocks_are_thread_count_invariant(monkeypatch):
@@ -319,10 +323,10 @@ def test_solid_blocks_are_thread_count_invariant(monkeypatch):
 
     monkeypatch.setattr(diffusion, "ThreadPoolExecutor", spy)
     cores = len(diffusion.os.sched_getaffinity(0))
-    c = cfg(n=20_000, stream_id=14)
-    default = solid_com_diffusion(10, 0.5, c)
+    c, s = cfg(n=20_000), stream(14)
+    default = solid_com_diffusion(10, 0.5, c, s)
     monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: {0})
-    single = solid_com_diffusion(10, 0.5, c)
+    single = solid_com_diffusion(10, 0.5, c, s)
     assert pools == [min(diffusion._BLOCKS, cores), 1]
     assert single == default
 
@@ -333,7 +337,7 @@ def test_solid_kick_memory_is_one_buffer_per_block(monkeypatch):
     monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: {0})
     tracemalloc.start()
     try:
-        solid_com_diffusion(1000, 0.5, cfg(n=20_000, stream_id=16))
+        solid_com_diffusion(1000, 0.5, cfg(n=20_000), stream(16))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,14 +348,14 @@ def test_solid_kick_memory_is_one_buffer_per_block(monkeypatch):
 def test_solid_kick_chunks_leave_the_estimate_unchanged(monkeypatch, normals):
     # blocks of 375-376 walkers over 1000 cells take three chunks by default,
     # one row per chunk at 1 normal and the whole block at 10**6
-    c = cfg(n=3001, stream_id=17)
-    default = solid_com_diffusion(1000, 0.5, c)
+    c, s = cfg(n=3001), stream(17)
+    default = solid_com_diffusion(1000, 0.5, c, s)
     monkeypatch.setattr(diffusion, "_KICK_BUFFER_NORMALS", normals)
-    assert solid_com_diffusion(1000, 0.5, c) == default
+    assert solid_com_diffusion(1000, 0.5, c, s) == default
 
 
 @pytest.mark.parametrize("n_walkers", [1001, 3])
 def test_solid_uneven_walker_blocks(n_walkers):
     # 1001 does not split evenly into the blocks; 3 leaves most blocks empty
-    k = solid_com_diffusion(10, 0.5, cfg(n=n_walkers, stream_id=15))
+    k = solid_com_diffusion(10, 0.5, cfg(n=n_walkers), stream(15))
     assert np.isfinite(k) and k > 0.0

@@ -28,6 +28,8 @@ def test_grid_rejects_bad_input():
         Grid(0, 0, 1, True)
     with pytest.raises(ValueError):
         Grid(64, 1, 0, True)
+    with pytest.raises(ValueError, match="x_max - x_min is not finite"):
+        Grid(64, -1e308, 1e308, True)
 
 
 def test_quadrature_of_constant_is_domain_length(grid):
