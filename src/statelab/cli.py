@@ -183,6 +183,14 @@ class ExperimentConfig:
                 "grid must span more than 36 kernel widths: born-diffusion places up to "
                 "5 centers 6 sigma apart inside 6 sigma margins")
         self.potential = _potential_from_config(merged["potential"], self.seed)
+        # measured on the default cell: geometry passes to dx = 0.94 sigma, and
+        # the free-packet checks of dynamics (width 0.5) fail near dx = 0.7;
+        # a spacing above 0.9 x 0.5, which no width admits, is rejected before
+        # the step guard squares the nodes of the cell, which overflows for a
+        # huge one
+        dx_max, rule = 0.9 * min(sigma, 0.5), "0.9 min(kernel.sigma, 0.5)"
+        if self.grid.dx > 0.9 * 0.5:
+            _check_spacing(self.grid, dx_max, rule)
         # the trajectory checks' start packet must pass the propagator's step guard
         self.q0 = GaussianParams(1.0, 0.0, sigma)
         try:
@@ -191,9 +199,7 @@ class ExperimentConfig:
         except (ValueError, ArithmeticError) as exc:   # 0.0 ** -0.25 for a tiny sigma
             raise ValidationError(
                 f"trajectory checks at dt = {_TRAJECTORY_DT:g}: {exc}") from exc
-        # measured on the default cell: geometry passes to dx = 0.94 sigma, and
-        # the free-packet checks of dynamics (width 0.5) fail near dx = 0.7
-        _check_spacing(self.grid, 0.9 * min(sigma, 0.5), "0.9 min(kernel.sigma, 0.5)")
+        _check_spacing(self.grid, dx_max, rule)
 
     def stream(self, stream_id: int) -> RngStream:
         return RngStream(self.seed, stream_id)
@@ -217,8 +223,13 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 def _check_spacing(grid: Grid, dx_max: float, rule: str) -> None:
     if grid.dx > dx_max:
+        need = grid.length / dx_max
+        # past 2**31 points one complex array alone takes 32 GiB
+        fix = (f"raise grid.n_points to at least {math.ceil(need)}" if need <= 2 ** 31 else
+               f"narrow the cell grid.x_min, grid.x_max = {grid.x_min:g}, {grid.x_max:g}, "
+               f"which needs {need:.3g} points")
         raise ValidationError(f"grid spacing dx = {grid.dx:.4g} exceeds {rule} = {dx_max:.4g}: "
-                              f"raise grid.n_points to at least {math.ceil(grid.length / dx_max)}")
+                              f"{fix}")
 
 
 def _check_born_width(cfg: ExperimentConfig) -> None:

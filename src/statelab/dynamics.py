@@ -2,20 +2,21 @@
 
 The propagator is Strang split-step spectral (exactly unitary per step,
 second order in dt; Feit, Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).
-Each propagation allocates one work buffer: the half kicks and the kinetic
-phase are products written into it, and scipy.fft's complex-to-complex
-transforms overwrite it, with each product's operand order that of
-exp_v2 * ifft(exp_kin * fft(exp_v2 * vals)), so the bits are that
-expression's.  Classical trajectories use symplectic leapfrog, with the
-force evaluated on Python floats through the same polynomial evaluator as
-the grid values.  The velocity-of-state decomposition projects d(phi)/dt
-onto the fibre direction, the two phase-space tangent directions and the
-spreading direction; the four squared components sum to the squared speed
-of the state.
+Its kernel walks the intervals between records in one per-call buffer that
+scipy.fft's transforms overwrite: adjacent half kicks merge into one full
+kick and the inverse transform's 1/N rides on the kinetic phase, so the
+result matches the one-line loop exp_v2 * ifft(exp_kin * fft(exp_v2 * vals))
+to round-off (1e-12 in the tests), not bit for bit.  Classical trajectories
+use symplectic leapfrog, with the force evaluated on Python floats through
+the same polynomial evaluator as the grid values.  The velocity-of-state
+decomposition projects d(phi)/dt onto the fibre direction, the two
+phase-space tangent directions and the spreading direction; the four squared
+components sum to the squared speed of the state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -165,7 +166,10 @@ def _occupied_bandwidth(psi: StateVector, rel_floor: float = 1e-12) -> float:
     return float(np.max(np.abs(psi.grid.wavenumbers[mask])))
 
 
-def _validate_step(psi: StateVector, V: PotentialSpec, phys: PhysicsParams, dt: float) -> None:
+def _validate_step(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
+                   dt: float) -> np.ndarray:
+    """Reject a step whose phase advance is unresolvable; returns V's static
+    grid values, which the propagation then reuses."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not psi.grid.periodic:
@@ -181,6 +185,7 @@ def _validate_step(psi: StateVector, V: PotentialSpec, phys: PhysicsParams, dt: 
         raise ValueError(
             f"dt too large: per-step phase advance {max(kin_phase, pot_phase):.3f} rad "
             "exceeds 0.5 (refine dt or the grid)")
+    return v
 
 
 def propagate(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
@@ -191,51 +196,100 @@ def propagate(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     Noisy potentials are piecewise constant per step, with slopes drawn from
     the potential's RngStream.
     """
-    _validate_step(psi, V, phys, dt)
+    v = _validate_step(psi, V, phys, dt)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
-    out, _ = _run_steps(psi, V, phys, n_steps, dt_eff)
+    out, _ = _run_steps(psi, V, v, phys, n_steps, dt_eff)
     return out
 
 
-def _run_steps(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
+def _linear_phase(g: Grid):
+    """A function sigma -> exp(i sigma x_j) at the nodes x_j = x_min + j dx.
+
+    With j = a m + b and m = ceil(sqrt N), the phase is the outer product of
+    exp(i sigma x_{a m}) and exp(i sigma b dx): about 2 sqrt(N) complex
+    exponentials instead of N.  Each call overwrites the one buffer of this
+    function and returns a view of it."""
+    m = math.isqrt(g.n_points - 1) + 1
+    x_rows = g.x_min + g.dx * (m * np.arange(-(-g.n_points // m)))
+    x_cols = g.dx * np.arange(m)
+    table = np.empty((len(x_rows), m), dtype=complex)
+    flat = table.reshape(-1)[:g.n_points]
+
+    def phase(sigma: float) -> np.ndarray:
+        np.multiply(np.exp(1j * sigma * x_rows)[:, None], np.exp(1j * sigma * x_cols),
+                    out=table)
+        return flat
+    return phase
+
+
+def _run_steps(psi: StateVector, V: PotentialSpec, v: np.ndarray, phys: PhysicsParams,
                n_steps: int, dt: float, record_every: int = 0):
-    g = psi.grid
-    k = g.wavenumbers
-    exp_kin = np.exp(-1j * phys.hbar * k ** 2 * dt / (2.0 * phys.mass))
-    v_static = V.values(g)
-    slopes = V.noise_slopes(n_steps)
-    static = V.noise_stream is None
-    if static:
-        exp_v2 = np.exp(-1j * v_static * dt / (2.0 * phys.hbar))
-    # vals and work belong to this call, so the transforms may overwrite work
+    """n_steps Strang steps of size dt from psi, with v = V.values(psi.grid);
+    with record_every, (t, <x>, <p>) at the start, every record_every steps
+    and at the end.  Returns (final state, records).
+
+    Between two records the closing half kick of a step and the opening half
+    kick of the next are one full kick, the inverse transform's 1/N rides on
+    the kinetic phase, and a noisy kick is the static one times a linear
+    phase built by _linear_phase.  A constant V without noise commutes with
+    the drift, so an interval of n steps is one kinetic phase of n dt."""
+    g, n = psi.grid, psi.grid.n_points
+    drift = phys.hbar * g.wavenumbers ** 2 / (2.0 * phys.mass)
+    ends = list(range(record_every, n_steps, record_every)) if record_every else []
+    ends.append(n_steps)
+    records = [(0.0, expect_x(psi), expect_p(psi, phys))] if record_every else []
+    # vals and work belong to this call, so the transforms may overwrite them
     vals = psi.values.copy()
-    work = np.empty_like(vals)
-    records = []
-    if record_every:
-        records.append((0.0, expect_x(psi), expect_p(psi, phys)))
-    for s in range(n_steps):
-        if not static:
-            exp_v2 = np.exp(-1j * (v_static + slopes[s] * g.x) * dt / (2.0 * phys.hbar))
-        np.multiply(exp_v2, vals, out=work)
-        work = scipy.fft.fft(work, overwrite_x=True)
-        np.multiply(exp_kin, work, out=work)
-        work = scipy.fft.ifft(work, overwrite_x=True)
-        np.multiply(exp_v2, work, out=vals)
-        if record_every and ((s + 1) % record_every == 0 or s == n_steps - 1):
+    noisy = V.noise_stream is not None
+    constant = not noisy and v.min() == v.max()
+    if constant:
+        rate, phases = drift + v[0] / phys.hbar, {}
+    else:
+        exp_kin = np.exp(-1j * dt * drift) / n
+        half = dt / (2.0 * phys.hbar)
+        kick2, kick = np.exp(-1j * half * v), np.exp(-2j * half * v)
+        work = np.empty_like(vals)
+        if noisy:
+            slopes, phase = V.noise_slopes(n_steps), _linear_phase(g)
+    start = 0
+    for end in ends:
+        if constant:
+            if end - start not in phases:
+                phases[end - start] = np.exp(-1j * ((end - start) * dt) * rate) / n
+            work = scipy.fft.fft(vals, overwrite_x=True)
+            np.multiply(work, phases[end - start], out=work)
+            vals = scipy.fft.ifft(work, overwrite_x=True, norm="forward")
+        else:
+            np.multiply(vals, kick2, out=work)
+            if noisy:
+                np.multiply(work, phase(-half * slopes[start]), out=work)
+            for s in range(start, end):
+                if s > start:   # step s-1's closing half kick and step s's opening one
+                    np.multiply(work, kick, out=work)
+                    if noisy:
+                        np.multiply(work, phase(-half * (slopes[s - 1] + slopes[s])), out=work)
+                work = scipy.fft.fft(work, overwrite_x=True)
+                np.multiply(work, exp_kin, out=work)
+                work = scipy.fft.ifft(work, overwrite_x=True, norm="forward")
+            np.multiply(work, kick2, out=vals)
+            if noisy:
+                np.multiply(vals, phase(-half * slopes[end - 1]), out=vals)
+        if record_every:
             cur = StateVector(g, vals)
-            records.append(((s + 1) * dt, expect_x(cur), expect_p(cur, phys)))
+            records.append((end * dt, expect_x(cur), expect_p(cur, phys)))
+        start = end
     return StateVector(g, vals), records
 
 
 def wavepacket_trajectory(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
                           t_final: float, dt: float, n_records: int = 64):
     """Propagate while recording (t, <x>, <p>); returns (times, xs, ps, final)."""
-    _validate_step(psi, V, phys, dt)
+    v = _validate_step(psi, V, phys, dt)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
     every = max(1, n_steps // n_records)
-    final, recs = _run_steps(psi, V, phys, n_steps, dt_eff, record_every=every)
+    final, recs = _run_steps(psi, V, v, phys, n_steps, dt_eff, record_every=every)
     t, xs, ps = (np.array(col) for col in zip(*recs))
     return t, xs, ps, final
 
@@ -391,9 +445,9 @@ def ehrenfest_check(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     propagation step each way."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _validate_step(psi, V, phys, dt)
-    plus, _ = _run_steps(psi, V, phys, 1, dt)
-    minus, _ = _run_steps(psi, V, phys, 1, -dt)
+    v = _validate_step(psi, V, phys, dt)
+    plus, _ = _run_steps(psi, V, v, phys, 1, dt)
+    minus, _ = _run_steps(psi, V, v, phys, 1, -dt)
     dx_dt = (expect_x(plus) - expect_x(minus)) / (2.0 * dt)
     dp_dt = (expect_p(plus, phys) - expect_p(minus, phys)) / (2.0 * dt)
     vprime = quadrature(psi.grid, V.values(psi.grid, order=1) * psi.density()).real

@@ -10,8 +10,9 @@ their input to complex128 and run ``scipy.fft``'s complex-to-complex
 transform, whose bits equal ``numpy.fft``'s with numpy >= 2 (both are the C++
 pocketfft).  Real input is cast first because scipy's real-to-complex path
 rounds differently.  Only fftfreq and the shifts stay on numpy.  No buffer or
-plan is kept between calls; the split-step loop of dynamics calls
-``scipy.fft`` itself, overwriting a buffer it allocates per call.
+plan is kept between calls.  The split-step kernel of dynamics calls
+``scipy.fft`` itself, unscaled, on a buffer it allocates per call; its
+results match the ``numpy.fft`` expression to round-off, not bit for bit.
 """
 
 from __future__ import annotations

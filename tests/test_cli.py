@@ -238,6 +238,20 @@ def test_cell_whose_length_overflows_exits_two(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bound", [1e200, 1e307])
+def test_huge_finite_cell_exits_two_by_path(tmp_path, capsys, bound):
+    # no kernel width admits this spacing, so it is rejected by path before
+    # the step guard squares the cell's nodes, which would overflow
+    data = {"grid": {"x_min": -bound, "x_max": bound}}
+    code, out = run(tmp_path, "all", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: grid spacing") and err.count("\n") == 1
+    assert "grid.x_min, grid.x_max" in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("data, path", [
     ({"grid": [1, 2]}, "grid"),
     ({"physics": 5}, "physics"),

@@ -1,8 +1,10 @@
-"""The FFT seam, the split-step loop and the leapfrog force.
+"""The FFT seam, the split-step kernel and the leapfrog force.
 
-numerics.fft/ifft carry every transform of the package; _run_steps writes
-each Strang step into one per-call buffer and newton_integrate evaluates V'
-on Python floats.  The oracles are the loops they replaced, written out here.
+numerics.fft/ifft carry every transform of the package and give numpy.fft's
+bits.  _run_steps walks record intervals with merged kicks, so it matches
+the one-line Strang loop to 1e-12, not bit for bit; newton_integrate
+evaluates V' on Python floats.  The oracles are the loops they replaced,
+written out here.
 """
 
 import subprocess
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 from statelab import GaussianParams, Grid, PotentialSpec, RngStream, realize
-from statelab.dynamics import _run_steps, expect_p, expect_x, newton_integrate, propagate
+from statelab.dynamics import (_linear_phase, _run_steps, expect_p, expect_x, newton_integrate,
+                               propagate)
 from statelab.numerics import StateVector, fft, ifft
 
 
@@ -57,21 +60,52 @@ POTENTIALS = {
     "static": lambda g: PotentialSpec.harmonic(1.0, center=0.3),
     "noisy": lambda g: PotentialSpec.noisy(PotentialSpec.harmonic(1.0), 0.5, RngStream(5, 15)),
     "tabulated": lambda g: PotentialSpec.tabulated(0.01 * g.x ** 4),
+    # no noise and V constant on the grid: the kernel jumps each interval
+    "free": lambda g: PotentialSpec.free(),
+    "constant": lambda g: PotentialSpec((0.4,), center=0.7),
 }
+
+
+def _check_against_the_oracle(grid, phys, kind, dt, n_steps, record_every):
+    psi = realize(GaussianParams(1.0, 0.5, 0.5), grid)
+    V = POTENTIALS[kind](grid)
+    out, records = _run_steps(psi, V, V.values(grid), phys, n_steps, dt,
+                              record_every=record_every)
+    ref, ref_records = _run_steps_oracle(psi, V, phys, n_steps, dt, record_every)
+    assert np.max(np.abs(out.values - ref)) <= 1e-12
+    assert len(records) == len(ref_records)
+    for got, want in zip(records, ref_records):
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
 @pytest.mark.parametrize("record_every", [0, 7])
 @pytest.mark.parametrize("dt", [1e-3, -1e-3], ids=["forward", "backward"])
 @pytest.mark.parametrize("kind", list(POTENTIALS))
 def test_run_steps_matches_the_one_line_loop(grid, phys, kind, dt, record_every):
-    psi = realize(GaussianParams(1.0, 0.5, 0.5), grid)
-    V = POTENTIALS[kind](grid)
-    out, records = _run_steps(psi, V, phys, 30, dt, record_every=record_every)
-    ref, ref_records = _run_steps_oracle(psi, V, phys, 30, dt, record_every)
-    assert np.max(np.abs(out.values - ref)) <= 1e-12
-    assert len(records) == len(ref_records)
-    for got, want in zip(records, ref_records):
-        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    # 7 does not divide 30: the last record interval is short
+    _check_against_the_oracle(grid, phys, kind, dt, 30, record_every)
+
+
+@pytest.mark.parametrize("n_steps, record_every", [(30, 10), (1, 0), (1, 1)],
+                         ids=["30-every-10", "1", "1-every-1"])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", list(POTENTIALS))
+def test_run_steps_schedules_match_the_one_line_loop(grid, phys, kind, dt, n_steps,
+                                                     record_every):
+    # equal intervals, and the single step ehrenfest_check takes each way
+    _check_against_the_oracle(grid, phys, kind, dt, n_steps, record_every)
+
+
+@pytest.mark.parametrize("n", [64, 1009, 4096], ids=["64", "1009-not-a-square", "4096"])
+def test_linear_phase_matches_the_exponential(n):
+    # within 4 ulp of the phase's magnitude: the outer product rounds the
+    # two factors' arguments and their product, each within an ulp or so
+    g = Grid(n, -8.0, 24.0, True)
+    phase = _linear_phase(g)
+    for sigma in (1e-3, -0.3, 2.0):
+        want = np.exp(1j * sigma * g.x)
+        bound = 4 * np.finfo(float).eps * (1.0 + abs(sigma) * np.max(np.abs(g.x)))
+        assert np.max(np.abs(phase(sigma) - want)) <= bound
 
 
 def _newton_oracle(a0, p0, V, phys, t_final, dt, grid=None):
