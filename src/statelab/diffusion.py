@@ -9,6 +9,10 @@ center-of-mass diffusion of an n-cell solid is suppressed as 1/n.  Two
 tests at a stated false-alarm rate judge several ensembles at once: a
 Pearson chi^2 of the component counts and one Kolmogorov-Smirnov test of the
 pooled arrivals, each mapped through its own component's law.
+
+Walkers are drawn, binned and mapped in fixed chunks, so an ensemble keeps
+one walker-length array, its sorted KS sample (8 bytes a walker), and its
+other buffers do not grow with the walker count.
 """
 
 from __future__ import annotations
@@ -183,8 +187,6 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, stream: Rng
             f"state decomposition is not near-orthogonal "
             f"(max overlap {dec.max_offdiag_overlap:.3f} >= 0.05)")
 
-    comp, finals = _draw_arrivals(dec.centers, dec.weights, cfg, stream)
-
     occupied = dec.centers[dec.weights > 1e-12]
     lo = occupied.min() - 6.0 * ks.sigma
     hi = occupied.max() + 6.0 * ks.sigma
@@ -192,21 +194,28 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, stream: Rng
     n_bins = int(np.ceil((hi - lo) / width))
     edges = lo + width * np.arange(n_bins + 1)
 
-    counts, _ = np.histogram(finals, bins=edges)
+    counts = np.zeros(n_bins, dtype=np.intp)
+    comp_counts = np.zeros(len(dec.centers), dtype=np.intp)
+    uniforms = np.empty(cfg.n_walkers)
+    i0 = 0
+    for comp, arrivals in _draw_arrivals(dec.centers, dec.weights, cfg, stream):
+        counts += np.histogram(arrivals, bins=edges)[0]
+        comp_counts += np.bincount(comp, minlength=len(dec.centers))
+        # Phi((x - b_j) / diffusion_sigma) of the chunk, in its slice of the sample
+        u = uniforms[i0:i0 + len(comp)]
+        np.subtract(arrivals, dec.centers[comp], out=u)
+        u /= cfg.diffusion_sigma
+        ndtr(u, out=u)
+        i0 += len(comp)
+    uniforms.sort()
+
     n_in = counts.sum()
     density = counts / max(n_in, 1) / width
     ref_mass = _bin_reference_masses(psi, edges)
     est_mass = counts / cfg.n_walkers
     out_mismatch = abs((1.0 - est_mass.sum()) - (1.0 - ref_mass.sum()))
     l1 = 0.5 * (np.abs(est_mass - ref_mass).sum() + out_mismatch)
-
-    masses = np.bincount(comp, minlength=len(dec.centers)) / cfg.n_walkers
-    # Phi((x - b_j) / diffusion_sigma), written over the arrivals
-    uniforms = finals
-    uniforms -= dec.centers[comp]
-    uniforms /= cfg.diffusion_sigma
-    ndtr(uniforms, out=uniforms)
-    uniforms.sort()
+    masses = comp_counts / cfg.n_walkers
     return DensityEstimate(
         bin_edges=edges, counts=counts, density=density,
         reference_density=ref_mass / width, l1_error=float(l1),
@@ -214,18 +223,29 @@ def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, stream: Rng
         arrival_uniforms=uniforms)
 
 
+# walkers per chunk of _draw_arrivals (2**14: 128 KiB per float64 array)
+_ARRIVAL_CHUNK = 2**14
+
+
 def _draw_arrivals(centers: np.ndarray, weights: np.ndarray, cfg: DiffusionConfig,
                    stream: RngStream):
-    """The sampler: each walker's component j, drawn with probability w_j,
-    and its arrival b_j + diffusion_sigma * N(0, 1), formed in the normals'
-    own array."""
+    """The sampler: yields (comp, arrivals) for successive chunks of at most
+    _ARRIVAL_CHUNK walkers, in walker order.  Each walker's component j is
+    drawn with probability w_j from stream.child(0), and its arrival
+    b_j + diffusion_sigma * N(0, 1) is formed in the array of its normal from
+    stream.child(1).  A generator fills in order, so the joined chunks are
+    the draw of one call over every walker, whatever the chunk size."""
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    comp = np.searchsorted(cum, stream.child(0).generator().random(cfg.n_walkers))
-    arrivals = stream.child(1).generator().standard_normal(cfg.n_walkers)
-    arrivals *= cfg.diffusion_sigma
-    arrivals += centers[comp]
-    return comp, arrivals
+    picks = stream.child(0).generator()
+    normals = stream.child(1).generator()
+    for i0 in range(0, cfg.n_walkers, _ARRIVAL_CHUNK):
+        size = min(_ARRIVAL_CHUNK, cfg.n_walkers - i0)
+        comp = np.searchsorted(cum, picks.random(size))
+        arrivals = normals.standard_normal(size)
+        arrivals *= cfg.diffusion_sigma
+        arrivals += centers[comp]
+        yield comp, arrivals
 
 
 def component_mass_chi2(estimates: Sequence[DensityEstimate], alpha: float):
@@ -255,15 +275,20 @@ def pooled_arrival_ks(estimates: Sequence[DensityEstimate], alpha: float):
     critical value kolmogi(alpha) / sqrt(N)).  Each arrival is mapped
     through its own component's law, so a shape error cannot cancel between
     ensembles as it can through the mixture CDF.  The pooled order
-    statistics are formed one sixteenth of (0, 1) at a time from the sorted
-    samples, so no copy of the pool is held."""
+    statistics are formed one slab of (0, 1) at a time from the sorted
+    samples, max(16, N // 2**14) equal slabs, so no copy of the pool is held
+    and a slab holds about 2**14 values however large the pool grows.  Every
+    value keeps its pooled rank, so the statistic does not depend on the
+    slab count."""
     parts = [est.arrival_uniforms for est in estimates]
     n = sum(len(u) for u in parts)
-    cuts = [np.concatenate([[0], np.searchsorted(u, np.arange(1, 16) / 16), [len(u)]])
+    n_slabs = max(16, n // 2**14)
+    cuts = [np.concatenate([[0], np.searchsorted(u, np.arange(1, n_slabs) / n_slabs), [len(u)]])
             for u in parts]
     stat, below = 0.0, 0
-    for s in range(16):
-        slab = np.sort(np.concatenate([u[c[s]:c[s + 1]] for u, c in zip(parts, cuts)]))
+    for s in range(n_slabs):
+        slab = np.concatenate([u[c[s]:c[s + 1]] for u, c in zip(parts, cuts)])
+        slab.sort()
         if len(slab):
             # ranks below + 1 .. below + len(slab) in the pool
             i = np.arange(below + 1, below + len(slab) + 1)

@@ -27,7 +27,7 @@ from numpy.polynomial.polynomial import polyder
 
 from .numerics import (Grid, RngStream, StateVector, fft, inner_l2, quadrature,
                        spectral_derivative)
-from .geometry import GaussianParams, realize, tangent_basis, spread_direction
+from .geometry import GaussianParams, _packet_directions, realize
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def _validate_step(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     pot_phase = np.max(np.abs(v)) * dt / phys.hbar
     if max(kin_phase, pot_phase) >= 0.5:
         raise ValueError(
-            f"dt too large: per-step phase advance {max(kin_phase, pot_phase):.3f} rad "
+            f"dt too large: per-step phase advance {max(kin_phase, pot_phase):.3g} rad "
             "exceeds 0.5 (refine dt or the grid)")
     return v
 
@@ -388,14 +388,12 @@ def velocity_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsPar
     violated potential-linearity precondition only clears linearity_ok; the
     computed projections are still returned.
     """
-    phi = realize(q, grid, hbar=phys.hbar)
+    phi, pos_dir, mom_dir, sp_dir = _packet_directions(q, grid, phys.hbar)
     hphi = apply_hamiltonian(phi, V, phys)
     dphi = StateVector(grid, -1j * hphi.values / phys.hbar)
 
     e_bar = inner_l2(hphi, phi).real
     h2 = inner_l2(hphi, hphi).real
-    pos_dir, mom_dir = tangent_basis(q, grid, hbar=phys.hbar)
-    sp_dir = spread_direction(q, grid, hbar=phys.hbar)
 
     fibre = e_bar / phys.hbar
     pos = inner_l2(dphi, pos_dir).real

@@ -204,6 +204,19 @@ def delta_path_projection(path: Callable[[float], float], order: int,
     return float(num / den)
 
 
+def _packet_directions(q: GaussianParams, grid: Grid, hbar: float):
+    """realize(q) and its unit position, momentum and spreading directions,
+    from one realization and one wrapped offset x - a."""
+    phi = realize(q, grid, hbar=hbar)
+    u = grid.wrap(grid.x - q.a)
+    scaled = u / q.sigma
+    pos = StateVector(grid, scaled * phi.values).normalized()
+    mom = StateVector(grid, 1j * scaled * phi.values).normalized()
+    w = u ** 2 / q.sigma ** 2 - 1.0
+    spread = StateVector(grid, 1j * w * phi.values / np.sqrt(2.0)).normalized()
+    return phi, pos, mom, spread
+
+
 def tangent_basis(q: GaussianParams, grid: Grid, hbar: float = 1.0):
     """Unit tangent directions at the packet realize(q): (position-direction,
     momentum-direction).
@@ -212,20 +225,14 @@ def tangent_basis(q: GaussianParams, grid: Grid, hbar: float = 1.0):
     Riemannian (real part) metric.  At p = 0 the position direction coincides
     with the normalized derivative of embed_point with respect to the center.
     """
-    phi = realize(q, grid, hbar=hbar)
-    u = grid.wrap(grid.x - q.a)
-    pos = StateVector(grid, (u / q.sigma) * phi.values).normalized()
-    mom = StateVector(grid, 1j * (u / q.sigma) * phi.values).normalized()
+    _, pos, mom, _ = _packet_directions(q, grid, hbar)
     return pos, mom
 
 
 def spread_direction(q: GaussianParams, grid: Grid, hbar: float = 1.0) -> StateVector:
     """Unit direction of width change (spreading), orthogonal to the fibre and
     to both phase-space tangent directions."""
-    phi = realize(q, grid, hbar=hbar)
-    u = grid.wrap(grid.x - q.a)
-    w = (u ** 2 / q.sigma ** 2 - 1.0)
-    return StateVector(grid, 1j * w * phi.values / np.sqrt(2.0)).normalized()
+    return _packet_directions(q, grid, hbar)[3]
 
 
 def fs_metric_restriction_check(q: GaussianParams, da: float, dp: float,

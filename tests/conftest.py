@@ -30,9 +30,11 @@ def mixture_ks():
     """Oracle for the sampler: the Kolmogorov-Smirnov distance between a
     redraw of the arrivals and the mixture sum_j w_j Normal(b_j, sigma_d^2).
     The redraw goes through diffusion._draw_arrivals as the module holds it
-    at call time, so a defect a test patches in is drawn too."""
+    at call time, so a defect a test patches in is drawn too; its chunks are
+    joined into one sample."""
     def statistic(centers, weights, cfg, stream):
-        _, arrivals = diffusion._draw_arrivals(centers, weights, cfg, stream)
+        arrivals = np.concatenate([a for _, a in diffusion._draw_arrivals(centers, weights,
+                                                                           cfg, stream)])
 
         def cdf(x):
             return sum(w * stats.norm.cdf((x - b) / cfg.diffusion_sigma)

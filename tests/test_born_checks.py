@@ -28,16 +28,19 @@ def _estimate(ks, seed, n, case=0):
 
 
 def test_pooled_ks_equals_scipy_kstest(ks):
-    ests = [_estimate(ks, 5, 2000, case)[0] for case in range(3)]
-    stat, bound = diff.pooled_arrival_ks(ests, ALPHA)
-    pooled = np.concatenate([e.arrival_uniforms for e in ests])
-    assert stat == pytest.approx(stats.kstest(pooled, "uniform").statistic, abs=1e-15)
-    assert bound == pytest.approx(stats.kstwobign.isf(ALPHA) / np.sqrt(6000), rel=1e-9)
+    # a pool of 6000 takes 16 slabs, one of 300,000 takes 300,000 // 2**14 = 18
+    for n in (2000, 100_000):
+        ests = [_estimate(ks, 5, n, case)[0] for case in range(3)]
+        stat, bound = diff.pooled_arrival_ks(ests, ALPHA)
+        pooled = np.concatenate([e.arrival_uniforms for e in ests])
+        assert stat == pytest.approx(stats.kstest(pooled, "uniform").statistic, abs=1e-15)
+        assert bound == pytest.approx(stats.kstwobign.isf(ALPHA) / np.sqrt(3 * n), rel=1e-9)
 
 
 def test_arrival_uniforms_are_each_arrivals_own_component_cdf(ks):
     est, centers, cfg, stream = _estimate(ks, 5, 1000)
-    comp, finals = diff._draw_arrivals(centers, est.expected_weights, cfg, stream)
+    comp, finals = map(np.concatenate,
+                       zip(*diff._draw_arrivals(centers, est.expected_weights, cfg, stream)))
     want = np.sort(stats.norm.cdf((finals - centers[comp]) / SIGMA))
     assert np.max(np.abs(est.arrival_uniforms - want)) <= 1e-15
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,16 +156,19 @@ def test_horizon_rejects_a_packet_on_the_seam(grid, phys):
 
 @pytest.mark.parametrize("data", [
     {"potential": {"kind": "harmonic", "stiffness": 1000.0}},
+    {"potential": {"kind": "harmonic", "stiffness": 1e300}},
     {"kernel": {"sigma": 0.01}},
-], ids=["stiff-potential", "narrow-packet"])
+], ids=["stiff-potential", "huge-stiffness", "narrow-packet"])
 def test_trajectory_step_guard_rejected_at_validation(tmp_path, capsys, data):
     # the propagator's per-step phase bound fails for the trajectory checks'
-    # start packet: a config error, not a traceback from inside the section
+    # start packet: a config error, not a traceback from inside the section,
+    # on one short line (a phase of 1.28e299 rad is not printed in full)
     code, out = run(tmp_path, "dynamics-checks", "--config", write_config(tmp_path, data))
     err = capsys.readouterr().err
     assert code == 2
     assert "dt too large" in err
     assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and len(err) < 200
     assert not (out / "report.json").exists()
 
 
@@ -303,6 +307,25 @@ def test_born_diffusion_is_pool_size_invariant(monkeypatch):
     one, two = reports
     assert one.to_json() == two.to_json()
     assert one.tables == two.tables
+
+
+def test_born_diffusion_memory_per_walker(monkeypatch):
+    # the checks keep the ten superpositions' sorted KS samples, 80 bytes a
+    # walker; every other buffer is a fixed chunk or a scalar.  One worker
+    # runs the ensembles in a fixed order, so the peak is the same each run.
+    monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid: {0})
+
+    def peak(n_walkers):
+        cfg = load_config(None, {"walkers": n_walkers})
+        run_born_diffusion(cfg)    # one-off allocations
+        tracemalloc.start()
+        try:
+            run_born_diffusion(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(80_000) - peak(20_000)) / 60_000 <= 90
 
 
 def test_superposition_lattice_checked_at_validation(tmp_path, capsys):

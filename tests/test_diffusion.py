@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from statelab import (
     DiffusionConfig, diffusion, RngStream, StateVector,
@@ -174,9 +175,34 @@ def test_superposition_decomposition_is_the_one_simulated(ks):
     assert given.l1_error == redone.l1_error
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 2**14, 10**6])
+def test_arrival_chunks_are_slices_of_one_draw(ks, monkeypatch, chunk):
+    # chunks of one walker, of 7, the default (two chunks here) and the whole
+    # ensemble consume both streams as one draw over every walker does
+    psi, dec = random_superposition(ks, RngStream(42, 11).child(2))
+    c, s = cfg(n=2**14 + 3), stream(19)
+    cum = np.cumsum(dec.weights)
+    cum[-1] = 1.0
+    comp = np.searchsorted(cum, s.child(0).generator().random(c.n_walkers))
+    finals = s.child(1).generator().standard_normal(c.n_walkers) * c.diffusion_sigma
+    finals += dec.centers[comp]
+    monkeypatch.setattr(diffusion, "_ARRIVAL_CHUNK", 10**6)
+    whole = simulate_state_diffusion(psi, c, s, ks, dec=dec)
+    assert np.array_equal(whole.counts, np.histogram(finals, bins=whole.bin_edges)[0])
+    assert np.array_equal(whole.component_masses,
+                          np.bincount(comp, minlength=len(dec.centers)) / c.n_walkers)
+    assert np.array_equal(whole.arrival_uniforms,
+                          np.sort(ndtr((finals - dec.centers[comp]) / c.diffusion_sigma)))
+    monkeypatch.setattr(diffusion, "_ARRIVAL_CHUNK", chunk)
+    est = simulate_state_diffusion(psi, c, s, ks, dec=dec)
+    for field in ("counts", "density", "component_masses", "arrival_uniforms"):
+        assert np.array_equal(getattr(est, field), getattr(whole, field)), field
+    assert est.l1_error == whole.l1_error
+
+
 def test_state_diffusion_memory_at_1e5_walkers(ks):
-    # the arrivals are drawn, shifted, histogrammed and mapped to their
-    # uniforms in one 0.8 MB array; the walkers' components take another
+    # the arrivals are drawn, histogrammed and mapped to their uniforms in
+    # chunks of _ARRIVAL_CHUNK walkers; only the 0.8 MB sample spans them all
     psi, dec = random_superposition(ks, RngStream(42, 11).child(0))
     c = cfg()
     simulate_state_diffusion(psi, c, stream(18), ks, dec=dec)   # one-off allocations
