@@ -8,7 +8,7 @@ from .geometry import (
     GaussianParams, KernelSpace,
     completeness_rank, delta_path_projection, embed_point,
     fs_distance, fs_metric_restriction_check, gram_matrix, grid_delta,
-    h_norm_velocity, kernel_inner, realize, spread_direction, tangent_basis,
+    h_norm_velocity, kernel_inner, realize,
 )
 from .dynamics import (
     PhysicsParams, PotentialSpec, VelocityDecomposition,

@@ -7,7 +7,9 @@ tables.  Sections compute checks and tables; ``main`` writes every file.
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error, 3 numerical
 breakdown, 4 section error (any other exception).  A section that raises
 leaves a failing ``section-error`` check, the other sections are still
-written, and the exit code is the largest any section produced.
+written, and the exit code is the largest any section produced.  ``all``
+runs the sections in order on the calling thread; only the walker ensembles
+run in parallel, on diffusion's one pool.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -538,26 +539,26 @@ def run_born_diffusion(cfg: ExperimentConfig) -> Report:
     jobs = [single_component_l1, two_component_split,
             functools.partial(diff.verify_diffusion_pde, dcfg, cfg.stream(13), n_epochs=2),
             *(functools.partial(superposition, case) for case in range(10))]
-    with diff._thread_pool(len(jobs)) as pool:
-        futures = [pool.submit(job) for job in jobs]
+    pool = diff._pool()
+    futures = [pool.submit(job) for job in jobs]
 
-        # meanwhile on this thread, the transition density: exchange
-        # symmetry and unitary invariance
-        agrid = Grid(64, -8.0, 8.0, True)
-        rng = cfg.stream(17).generator()
-        worst_sym = worst_inv = 0.0
-        for _ in range(20):
-            fa = StateVector(agrid, rng.standard_normal(64) + 1j * rng.standard_normal(64)).normalized()
-            fb = StateVector(agrid, rng.standard_normal(64) + 1j * rng.standard_normal(64)).normalized()
-            d_ab = diff.density_functional(fa, fb, ks.sigma)
-            d_ba = diff.density_functional(fb, fa, ks.sigma)
-            worst_sym = max(worst_sym, abs(d_ab - d_ba))
-            U = diff.random_unitary(64, rng)
-            # both states in one product: two mat-vecs would each wake the BLAS threads
-            ua, ub = (StateVector(agrid, v) for v in np.stack([fa.values, fb.values]) @ U.T)
-            worst_inv = max(worst_inv, abs(diff.density_functional(ua, ub, ks.sigma) - d_ab))
+    # meanwhile on this thread, the transition density: exchange
+    # symmetry and unitary invariance
+    agrid = Grid(64, -8.0, 8.0, True)
+    rng = cfg.stream(17).generator()
+    worst_sym = worst_inv = 0.0
+    for _ in range(20):
+        fa = StateVector(agrid, rng.standard_normal(64) + 1j * rng.standard_normal(64)).normalized()
+        fb = StateVector(agrid, rng.standard_normal(64) + 1j * rng.standard_normal(64)).normalized()
+        d_ab = diff.density_functional(fa, fb, ks.sigma)
+        d_ba = diff.density_functional(fb, fa, ks.sigma)
+        worst_sym = max(worst_sym, abs(d_ab - d_ba))
+        U = diff.random_unitary(64, rng)
+        # both states in one product: two mat-vecs would each wake the BLAS threads
+        ua, ub = (StateVector(agrid, v) for v in np.stack([fa.values, fb.values]) @ U.T)
+        worst_inv = max(worst_inv, abs(diff.density_functional(ua, ub, ks.sigma) - d_ab))
 
-        l1_single, (mass_two, weight_two), pde, *cases = [f.result() for f in futures]
+    l1_single, (mass_two, weight_two), pde, *cases = [f.result() for f in futures]
 
     rep.add(check_upper("pde-heat-kernel-sup-residual", pde.max_sup_residual, 0.03))
     var_dev = float(np.max(np.abs(pde.variances / pde.expected_variances - 1.0)))
@@ -644,11 +645,12 @@ def _run_section(name: str, cfg: ExperimentConfig) -> tuple[Report, int]:
 
 
 def run_all(cfg: ExperimentConfig) -> tuple[Report, int]:
-    """Every section, each on its own thread.  No output depends on the
-    core count: each section draws from its own streams."""
+    """Every section, in order on the calling thread.  Only the walker
+    ensembles of born-diffusion and solid-com run in parallel, on
+    diffusion's one pool; no output depends on the core count, since each
+    ensemble draws from its own stream."""
     names = list(SECTIONS)
-    with ThreadPoolExecutor(max_workers=len(names)) as pool:
-        results = list(pool.map(lambda n: _run_section(n, cfg), names))
+    results = [_run_section(name, cfg) for name in names]
     rep = Report("all", cfg.echo)
     for name, (sub, _) in zip(names, results):
         rep.checks += [dataclasses.replace(c, name=f"{name}/{c.name}") for c in sub.checks]

@@ -12,11 +12,14 @@ pooled arrivals, each mapped through its own component's law.
 
 Walkers are drawn, binned and mapped in fixed chunks, so an ensemble keeps
 one walker-length array, its sorted KS sample (8 bytes a walker), and its
-other buffers do not grow with the walker count.
+other buffers do not grow with the walker count.  The ensembles are
+statelab's only parallel work; they run on one process-wide pool of one
+thread per available core (_pool), each on its own stream.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -379,11 +382,21 @@ def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream, start: float =
 _BLOCKS = 8
 
 
-def _thread_pool(jobs: int) -> ThreadPoolExecutor:
-    """A pool of one thread per available core, at most one per job.  Its
-    callers run independent jobs, each on its own stream, and collect the
-    results in submission order, so no result depends on the thread count."""
-    return ThreadPoolExecutor(max_workers=min(jobs, len(os.sched_getaffinity(0))))
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="statelab-walkers")
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide pool of one thread per available core, which runs
+    statelab's walker ensembles: born-diffusion's 13 and solid-com's blocks.
+    Its callers submit independent jobs, each on its own stream, and read the
+    results in submission order, so no result depends on the thread count.
+    Only leaf jobs run on it: no job submits to the pool or waits on one of
+    its futures, so no wait is nested and a full pool cannot deadlock.  Its
+    threads live as long as the process; nothing in statelab forks, which
+    would leave a child a pool without threads."""
+    return _executor(len(os.sched_getaffinity(0)))
 
 
 def _block_generator(stream: RngStream) -> np.random.Generator:
@@ -407,7 +420,7 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
 
     The walkers are split into _BLOCKS blocks (np.array_split sizes); block b
     draws from an SFC64 generator keyed by stream.child(b), and the
-    blocks run on a _thread_pool.  Each block reuses one kick buffer of
+    blocks run on the process-wide _pool.  Each block reuses one kick buffer of
     _KICK_BUFFER_NORMALS normals (at least one row), so memory stays flat as
     walkers x cells grow.  The fills and row means release the GIL, and the
     displacements are joined in block order, so the estimate is the same for
@@ -432,8 +445,7 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
 
     q, r = divmod(cfg.n_walkers, _BLOCKS)
     sizes = [q + (b < r) for b in range(_BLOCKS)]
-    with _thread_pool(_BLOCKS) as pool:
-        disp = np.concatenate(list(pool.map(block, range(_BLOCKS), sizes)))
+    disp = np.concatenate(list(_pool().map(block, range(_BLOCKS), sizes)))
     return float(np.var(disp) / (2.0 * n_steps * cfg.tau))
 
 

@@ -206,7 +206,9 @@ def delta_path_projection(path: Callable[[float], float], order: int,
 
 def _packet_directions(q: GaussianParams, grid: Grid, hbar: float):
     """realize(q) and its unit position, momentum and spreading directions,
-    from one realization and one wrapped offset x - a."""
+    from one realization and one wrapped offset x - a.  The three directions
+    are orthogonal to each other and to the fibre direction i*phi in the
+    Riemannian (real part) metric."""
     phi = realize(q, grid, hbar=hbar)
     u = grid.wrap(grid.x - q.a)
     scaled = u / q.sigma
@@ -215,24 +217,6 @@ def _packet_directions(q: GaussianParams, grid: Grid, hbar: float):
     w = u ** 2 / q.sigma ** 2 - 1.0
     spread = StateVector(grid, 1j * w * phi.values / np.sqrt(2.0)).normalized()
     return phi, pos, mom, spread
-
-
-def tangent_basis(q: GaussianParams, grid: Grid, hbar: float = 1.0):
-    """Unit tangent directions at the packet realize(q): (position-direction,
-    momentum-direction).
-
-    Both are orthogonal to each other and to the fibre direction i*phi in the
-    Riemannian (real part) metric.  At p = 0 the position direction coincides
-    with the normalized derivative of embed_point with respect to the center.
-    """
-    _, pos, mom, _ = _packet_directions(q, grid, hbar)
-    return pos, mom
-
-
-def spread_direction(q: GaussianParams, grid: Grid, hbar: float = 1.0) -> StateVector:
-    """Unit direction of width change (spreading), orthogonal to the fibre and
-    to both phase-space tangent directions."""
-    return _packet_directions(q, grid, hbar)[3]
 
 
 def fs_metric_restriction_check(q: GaussianParams, da: float, dp: float,

@@ -250,21 +250,3 @@ def kernel_of_constraints(ops: OperatorTriple, tol: float = 1e-10) -> int:
     """
     lam = np.linalg.eigvalsh(constraint_laplacian(ops))
     return int(np.sum(lam <= tol * lam.max()))
-
-
-def evolve_expectation(H: np.ndarray, alpha: complex, phys: PhysicsParams,
-                       X: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """<X>(t) for a truncated coherent state |alpha> evolved by H (via eigh)."""
-    n = H.shape[0]
-    j = np.arange(n)
-    log_coef = -0.5 * abs(alpha) ** 2 + j * np.log(complex(alpha)) - 0.5 * np.array(
-        [np.sum(np.log(np.arange(1, jj + 1))) if jj else 0.0 for jj in j])
-    c = np.exp(log_coef)
-    c = c / np.linalg.norm(c)
-    evals, vecs = np.linalg.eigh(H)
-    c_e = vecs.conj().T @ c
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        ct = vecs @ (np.exp(-1j * evals * t / phys.hbar) * c_e)
-        out[i] = (ct.conj() @ (X @ ct)).real
-    return out

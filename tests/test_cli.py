@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,24 +177,16 @@ def test_trajectory_step_guard_rejected_at_validation(tmp_path, capsys, data):
 
 
 def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
-    # the sections' pools take one thread per available core, so one core and
+    # the walker pool takes one thread per available core, so one core and
     # two give the same files; exit 1 is allowed: the statistical bounds are
     # pinned at 1e5 walkers
-    pools, outs = [], []
-    real_pool = diff.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools[-1].add(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(diff, "ThreadPoolExecutor", spy)
+    outs = []
     for cores in ({0}, {0, 1}):
-        pools.append(set())
         monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        assert diff._pool()._max_workers == len(cores)
         code, out = run(tmp_path / str(len(cores)), "all", "--walkers", "2000")
         assert code in (0, 1)
         outs.append(out)
-    assert pools == [{1}, {2}]
     files = sorted(p.name for p in outs[0].iterdir())
     assert "report.json" in files and "trajectory.csv" in files
     for other in outs[1:]:
@@ -290,23 +286,52 @@ def test_non_finite_diffusion_coefficient_exits_two(tmp_path, capsys, diffusion)
 def test_born_diffusion_is_pool_size_invariant(monkeypatch):
     # born-diffusion's ensembles run beside each other on one thread per
     # available core; one worker and two give the same checks and tables
-    pools = []
-    real_pool = diff.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(diff, "ThreadPoolExecutor", spy)
     cfg = load_config(None, {"walkers": 2000})
     reports = []
     for cores in ({0}, {0, 1}):
         monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        assert diff._pool()._max_workers == len(cores)
         reports.append(run_born_diffusion(cfg))
-    assert pools == [1, 2]
     one, two = reports
     assert one.to_json() == two.to_json()
     assert one.tables == two.tables
+
+
+# counts the threads that each of two `all` runs starts in a fresh
+# interpreter pinned to the cores listed in argv[2]
+_THREAD_STARTS = """
+import os, sys, threading
+os.sched_setaffinity(0, {int(c) for c in sys.argv[2].split(",")})
+sys.path.insert(0, sys.argv[1])
+from statelab.cli import load_config, run_all
+started = []
+real_start = threading.Thread.start
+def spy(thread):
+    started.append(thread.name)
+    real_start(thread)
+threading.Thread.start = spy
+cfg = load_config(None, {"walkers": 2000})
+for _ in range(2):
+    before = len(started)
+    run_all(cfg)
+    print(len(started) - before)
+"""
+
+
+def test_all_starts_at_most_one_thread_per_core_once():
+    # one pool serves every run: the first `all` in a process starts at most
+    # one thread per available core, and a later one starts none.  Two cores
+    # at most: the executor starts a thread only while its others are busy,
+    # so short jobs may leave a larger pool short of its size after one run
+    src = Path(__file__).resolve().parents[1] / "src"
+    cpus = sorted(os.sched_getaffinity(0))
+    for cores in (cpus[:1], cpus[:2]):
+        out = subprocess.run([sys.executable, "-c", _THREAD_STARTS, str(src),
+                              ",".join(map(str, cores))],
+                             capture_output=True, text=True, check=True)
+        first, second = map(int, out.stdout.split())
+        assert 1 <= first <= len(cores), cores
+        assert second == 0, cores
 
 
 def test_born_diffusion_memory_per_walker(monkeypatch):

@@ -340,21 +340,13 @@ def test_solid_step_count_must_be_positive():
 
 
 def test_solid_blocks_are_thread_count_invariant(monkeypatch):
-    pools = []
-    real_pool = diffusion.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(diffusion, "ThreadPoolExecutor", spy)
-    cores = len(diffusion.os.sched_getaffinity(0))
     c, s = cfg(n=20_000), stream(14)
-    default = solid_com_diffusion(10, 0.5, c, s)
-    monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: {0})
-    single = solid_com_diffusion(10, 0.5, c, s)
-    assert pools == [min(diffusion._BLOCKS, cores), 1]
-    assert single == default
+    estimates = []
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        assert diffusion._pool()._max_workers == len(cores)
+        estimates.append(solid_com_diffusion(10, 0.5, c, s))
+    assert estimates[0] == estimates[1]
 
 
 def test_solid_kick_memory_is_one_buffer_per_block(monkeypatch):

@@ -6,9 +6,9 @@ from statelab import (
     GaussianParams, KernelSpace, StateVector,
     completeness_rank, delta_path_projection, embed_point,
     expect_p, fs_distance, fs_metric_restriction_check, gram_matrix, grid_delta,
-    h_norm_velocity, inner_l2, kernel_inner, realize, spread_direction,
-    tangent_basis,
+    h_norm_velocity, inner_l2, kernel_inner, realize,
 )
+from statelab.geometry import _packet_directions
 
 SIGMA = 0.5
 EXP_HALF = 0.6065306597126334   # exp(-1/2), kernel value at separation 2 sigma
@@ -208,7 +208,7 @@ def test_delta_path_projection_validates(ks):
 
 def test_tangent_basis_matches_center_derivative_at_zero_momentum(grid, ks):
     q = GaussianParams(0.4, 0.0, SIGMA)
-    pos, _ = tangent_basis(q, grid)
+    _, pos, _, _ = _packet_directions(q, grid, 1.0)
     eps = 1e-6
     fd = (embed_point(q.a + eps, ks).values - embed_point(q.a - eps, ks).values) / (2 * eps)
     fd_state = StateVector(grid, fd).normalized()
@@ -218,14 +218,13 @@ def test_tangent_basis_matches_center_derivative_at_zero_momentum(grid, ks):
 def test_tangent_basis_orthogonality_triple(grid):
     for (a, p) in [(0.0, 0.0), (0.5, 1.2), (-1.0, -0.7)]:
         q = GaussianParams(a, p, SIGMA)
-        pos, mom = tangent_basis(q, grid)
+        _, pos, mom, sp = _packet_directions(q, grid, 1.0)
         fibre = StateVector(grid, 1j * realize(q, grid).values)
         assert pos.norm() == pytest.approx(1.0, abs=1e-10)
         assert mom.norm() == pytest.approx(1.0, abs=1e-10)
         for u, v in [(pos, mom), (pos, fibre), (mom, fibre)]:
             assert abs(inner_l2(u, v).real) < 1e-8
         assert abs(inner_l2(pos, mom).real) < 1e-8
-        sp = spread_direction(q, grid)
         assert sp.norm() == pytest.approx(1.0, abs=1e-10)
         for u in (pos, mom, fibre):
             assert abs(inner_l2(sp, u).real) < 1e-8

@@ -158,7 +158,8 @@ def test_newton_integrate_tabulated_matches_value_at(grid, phys):
 
 
 def test_concurrent_propagations_equal_serial_ones(phys):
-    # run_all propagates on a thread pool, so no buffer may be shared
+    # propagations may run on several threads of one process, so no buffer
+    # may be shared
     g = Grid(4096, -16.0, 16.0, True)
     cases = [(realize(GaussianParams(1.0, 0.0, 0.5), g), PotentialSpec.harmonic(1.0)),
              (realize(GaussianParams(-2.0, 1.5, 0.5), g),

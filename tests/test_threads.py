@@ -1,10 +1,12 @@
-"""statelab's only threads are the ``all`` section pool, solid-com's walker
-blocks and born-diffusion's ensembles.  A dense call large enough for the
-BLAS library to thread wakes its worker threads, which then spin for tens of
-milliseconds on cores the walker blocks need; this test measures that CPU on
-every thread but the caller.  A section's own pool threads have exited when
-it returns, so only a thread that outlives the section, such as a BLAS
-worker, is counted."""
+"""statelab's only threads are the workers of its one walker pool, which run
+solid-com's walker blocks and born-diffusion's ensembles and live as long as
+the process.  A dense call large enough for the BLAS library to thread wakes
+its worker threads, which then spin for tens of milliseconds on cores the
+walker blocks need; this test measures that CPU on every thread but the
+caller and the pool's workers, which are told apart by the pool's thread
+name prefix.  The pool's workers spend the sections' own walker time, so
+only a thread that statelab did not start, such as a BLAS worker, is
+counted."""
 
 import os
 import threading
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from statelab import diffusion
 from statelab.cli import (
     load_config, run_born_diffusion, run_dynamics, run_geometry, run_reconstruct,
 )
@@ -25,11 +28,13 @@ BOUND = 0.02         # s of CPU on other threads per section
 
 def _other_threads_cpu() -> float:
     """utime + stime, in seconds, summed over every thread of this process
-    except the calling one."""
-    me = threading.get_native_id()
+    except the calling one and the walker pool's workers."""
+    prefix = diffusion._pool()._thread_name_prefix
+    skip = {threading.get_native_id()} | {
+        t.native_id for t in threading.enumerate() if t.name.startswith(prefix)}
     ticks = 0
     for task in TASKS.iterdir():
-        if int(task.name) == me:
+        if int(task.name) in skip:
             continue
         try:
             stat = (task / "stat").read_text()
