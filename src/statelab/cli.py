@@ -4,12 +4,13 @@ Subcommands mirror the library's sections: geometry-identities,
 dynamics-checks, reconstruct, born-diffusion, solid-com, and all.  Runs are
 fully deterministic: equal configs produce byte-identical report.json and CSV
 tables.  Sections compute checks and tables; ``main`` writes every file.
-Exit codes: 0 all checks pass, 1 a check failed, 2 config error, 3 numerical
-breakdown, 4 section error (any other exception).  A section that raises
-leaves a failing ``section-error`` check, the other sections are still
-written, and the exit code is the largest any section produced.  ``all``
-runs the sections in order on the calling thread; only the walker ensembles
-run in parallel, on diffusion's one pool.
+Exit codes: 0 all checks pass, 1 a check failed, 2 config error (also a
+config too large to validate in memory), 3 numerical breakdown, 4 section
+error (any other exception).  A section that raises leaves a failing
+``section-error`` check, the other sections are still written, and the exit
+code is the largest any section produced.  ``all`` runs solid-com on
+diffusion's waiter thread and the other sections in order on the calling
+thread; only the walker ensembles run in parallel, on diffusion's one pool.
 """
 
 from __future__ import annotations
@@ -645,17 +646,22 @@ def _run_section(name: str, cfg: ExperimentConfig) -> tuple[Report, int]:
 
 
 def run_all(cfg: ExperimentConfig) -> tuple[Report, int]:
-    """Every section, in order on the calling thread.  Only the walker
-    ensembles of born-diffusion and solid-com run in parallel, on
-    diffusion's one pool; no output depends on the core count, since each
+    """Every section, joined in SECTIONS order.  solid-com starts first, on
+    diffusion's waiter thread, where it only submits its walker blocks to
+    diffusion's pool and waits for them; so the blocks fill the cores while
+    the other sections run in order on the calling thread, and its result is
+    read last.  Only the walker ensembles of born-diffusion and solid-com
+    run in parallel; no output depends on the core count, since each
     ensemble draws from its own stream."""
-    names = list(SECTIONS)
-    results = [_run_section(name, cfg) for name in names]
+    early = diff._waiter().submit(_run_section, "solid-com", cfg)
+    results = {name: _run_section(name, cfg) for name in SECTIONS if name != "solid-com"}
+    results["solid-com"] = early.result()
     rep = Report("all", cfg.echo)
-    for name, (sub, _) in zip(names, results):
+    for name in SECTIONS:
+        sub, _ = results[name]
         rep.checks += [dataclasses.replace(c, name=f"{name}/{c.name}") for c in sub.checks]
         rep.tables.update(sub.tables)
-    return rep, max(code for _, code in results)
+    return rep, max(code for _, code in results.values())
 
 
 def main(argv=None) -> int:
@@ -681,6 +687,10 @@ def main(argv=None) -> int:
             _check_born_width(cfg)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # a grid too large to build, e.g. --grid 1000000000
+        print(f"config error: out of memory validating the config: "
+              f"{exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
     out = Path(args.out or cfg.out_dir or "statelab-out")

@@ -390,13 +390,25 @@ def _executor(workers: int) -> ThreadPoolExecutor:
 def _pool() -> ThreadPoolExecutor:
     """The process-wide pool of one thread per available core, which runs
     statelab's walker ensembles: born-diffusion's 13 and solid-com's blocks.
-    Its callers submit independent jobs, each on its own stream, and read the
-    results in submission order, so no result depends on the thread count.
-    Only leaf jobs run on it: no job submits to the pool or waits on one of
-    its futures, so no wait is nested and a full pool cannot deadlock.  Its
-    threads live as long as the process; nothing in statelab forks, which
-    would leave a child a pool without threads."""
+    Its callers, the calling thread and _waiter's thread, submit independent
+    jobs, each on its own stream, and read the results in submission order,
+    so no result depends on the thread count.  Only leaf jobs run on it: no
+    job submits to the pool or waits on one of its futures, so no wait is
+    nested and a full pool cannot deadlock.  Its threads live as long as the
+    process; nothing in statelab forks, which would leave a child a pool
+    without threads."""
     return _executor(len(os.sched_getaffinity(0)))
+
+
+@functools.cache
+def _waiter() -> ThreadPoolExecutor:
+    """The process-wide thread on which ``cli.run_all`` runs solid-com while
+    the other sections run on the calling thread.  solid-com's own thread only
+    submits walker blocks to _pool, waits for them and joins them, so this
+    thread spends almost no CPU.  It must not be _pool: on one core
+    _executor(1) is the pool, whose one worker would then wait on blocks
+    queued behind itself."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="statelab-waiter")
 
 
 def _block_generator(stream: RngStream) -> np.random.Generator:

@@ -176,14 +176,46 @@ def test_trajectory_step_guard_rejected_at_validation(tmp_path, capsys, data):
     assert not (out / "report.json").exists()
 
 
+_ADDRESS_SPACE_CAP = 1 << 30   # bytes
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry-identities", "--grid", "1000000000"],   # 7.45 GiB at the first grid array
+    ["dynamics-checks", "--grid", "20000000"],         # 305 MiB for the step guard's packet
+], ids=["geometry-1e9", "dynamics-2e7"])
+def test_oversized_grid_is_a_config_error(tmp_path, argv):
+    # a grid too large for memory stops in validation with one config error
+    # line; the child's address space is capped, so the run cannot exhaust
+    # the host's memory.  One BLAS thread keeps the import's own thread
+    # stacks and buffers under the cap on any core count
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "statelab.cli", *argv,
+                           "--out", str(tmp_path / "out")],
+                          preexec_fn=cap, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
     # the walker pool takes one thread per available core, so one core and
     # two give the same files; exit 1 is allowed: the statistical bounds are
-    # pinned at 1e5 walkers
+    # pinned at 1e5 walkers.  solid-com waits for its blocks on its own
+    # thread, never on the pool's one worker
     outs = []
     for cores in ({0}, {0, 1}):
         monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
         assert diff._pool()._max_workers == len(cores)
+        assert diff._waiter() is not diff._pool()
         code, out = run(tmp_path / str(len(cores)), "all", "--walkers", "2000")
         assert code in (0, 1)
         outs.append(out)
@@ -318,11 +350,12 @@ for _ in range(2):
 """
 
 
-def test_all_starts_at_most_one_thread_per_core_once():
-    # one pool serves every run: the first `all` in a process starts at most
-    # one thread per available core, and a later one starts none.  Two cores
-    # at most: the executor starts a thread only while its others are busy,
-    # so short jobs may leave a larger pool short of its size after one run
+def test_all_starts_at_most_cores_plus_one_threads_once():
+    # one pool and one waiter serve every run: the first `all` in a process
+    # starts the waiter and at most one pool thread per available core, and
+    # a later one starts none.  Two cores at most: the executor starts a
+    # thread only while its others are busy, so short jobs may leave a
+    # larger pool short of its size after one run
     src = Path(__file__).resolve().parents[1] / "src"
     cpus = sorted(os.sched_getaffinity(0))
     for cores in (cpus[:1], cpus[:2]):
@@ -330,7 +363,7 @@ def test_all_starts_at_most_one_thread_per_core_once():
                               ",".join(map(str, cores))],
                              capture_output=True, text=True, check=True)
         first, second = map(int, out.stdout.split())
-        assert 1 <= first <= len(cores), cores
+        assert 2 <= first <= len(cores) + 1, cores
         assert second == 0, cores
 
 
@@ -448,26 +481,28 @@ def _raise(exc):
     return section
 
 
-def test_failing_section_keeps_the_others(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(SECTIONS, "reconstruct", _raise(RuntimeError("boom")))
+# solid-com runs on the waiter thread, the others on the calling thread
+@pytest.mark.parametrize("failing", ["reconstruct", "solid-com"])
+def test_failing_section_keeps_the_others(tmp_path, monkeypatch, capsys, failing):
+    monkeypatch.setitem(SECTIONS, failing, _raise(RuntimeError("boom")))
     code, out = run(tmp_path, "all", "--walkers", "2000")
     err = capsys.readouterr().err
     assert code == 4
     assert "Traceback" not in err
-    assert "section error in reconstruct: RuntimeError: boom" in err
+    assert f"section error in {failing}: RuntimeError: boom" in err
     report = json.loads((out / "report.json").read_text())
     names = [c["name"] for c in report["checks"]]
     for section in TABLES:
-        if section != "reconstruct":
+        if section != failing:
             assert any(n.startswith(f"{section}/") for n in names), section
-    error = [c for c in report["checks"] if c["name"] == "reconstruct/section-error"]
-    assert error == [{"name": "reconstruct/section-error", "value": 1.0, "reference": 0.0,
+    error = [c for c in report["checks"] if c["name"] == f"{failing}/section-error"]
+    assert error == [{"name": f"{failing}/section-error", "value": 1.0, "reference": 0.0,
                       "tolerance": 0.0, "pass": False, "mode": "upper",
                       "note": "RuntimeError: boom"}]
-    assert not any(n.startswith("reconstruct/") and n != "reconstruct/section-error"
+    assert not any(n.startswith(f"{failing}/") and n != f"{failing}/section-error"
                    for n in names)
     assert report["overall_pass"] is False
-    expected = sorted(f for s, files in TABLES.items() if s != "reconstruct" for f in files)
+    expected = sorted(f for s, files in TABLES.items() if s != failing for f in files)
     assert report["artifacts"] == expected
     assert sorted(p.name for p in out.iterdir()) == sorted(expected + ["report.json"])
 
