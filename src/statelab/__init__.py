@@ -2,7 +2,7 @@
 
 from .numerics import (
     Grid, NumericalBreakdownError, RngStream, StateVector,
-    dft, idft, inner_l2, quadrature, spectral_derivative,
+    inner_l2, quadrature, spectral_derivative,
 )
 from .geometry import (
     GaussianParams, KernelSpace,

@@ -1,6 +1,6 @@
 """Monte Carlo engine: Brownian motion of state components and Born statistics.
 
-A state is decomposed over a near-orthogonal lattice of embedded Gaussians;
+A state is decomposed over near-orthogonal embedded Gaussians at given centers;
 each walker picks a component with probability given by its squared
 coefficient, starts at that component's center, and random-walks for the
 observation time.  The stationary arrival statistics reproduce |psi(a)|^2,
@@ -23,7 +23,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtri, erf, kolmogi, ndtr
@@ -91,33 +91,31 @@ class DensityEstimate:
     arrival_uniforms: np.ndarray
 
 
-def decompose_state(psi: StateVector, ks: KernelSpace, spacing: float,
-                    centers: Optional[Sequence[float]] = None,
-                    overlap_threshold: float = 0.05,
-                    cond_limit: float = 1e8) -> ComponentDecomposition:
-    """Least-squares decomposition of psi over embedded points on a lattice.
+# largest pairwise kernel overlap of a near-orthogonal frame, and the largest
+# 2-norm condition number of a frame that decompose_state accepts
+_OVERLAP_THRESHOLD = 0.05
+_COND_LIMIT = 1e8
+
+
+def decompose_state(psi: StateVector, ks: KernelSpace,
+                    centers: Sequence[float]) -> ComponentDecomposition:
+    """Least-squares decomposition of psi over the embedded points at centers.
 
     The near_orthogonal flag is set when all pairwise frame overlaps stay
-    below overlap_threshold; only then do the squared coefficients behave as
-    probabilities (they are renormalized to sum to one, and the size of that
-    correction is reported via sum_sq).
+    below _OVERLAP_THRESHOLD; only then do the squared coefficients behave
+    as probabilities (they are renormalized to sum to one, and the size of
+    that correction is reported via sum_sq).
     """
     g = psi.grid
-    if centers is None:
-        if spacing <= 0:
-            raise ValueError("lattice spacing must be positive")
-        lo = g.x_min + 5.0 * ks.sigma
-        hi = g.x_max - 5.0 * ks.sigma
-        centers = np.arange(lo, hi, spacing)
     centers = np.asarray(centers, dtype=float)
     frame = np.column_stack([embed_point(float(b), ks).values for b in centers])
     scale = np.sqrt(g.dx)
     coef, _, _, sv = np.linalg.lstsq(frame * scale, psi.values * scale, rcond=None)
     # 2-norm condition number from the singular values lstsq already computed
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise NumericalBreakdownError(
-            f"Gaussian frame is ill-conditioned (cond {cond:.3g} > {cond_limit:.3g})")
+            f"Gaussian frame is ill-conditioned (cond {cond:.3g} > {_COND_LIMIT:.3g})")
     fit = frame @ coef
     residual = float(np.sqrt(quadrature(g, np.abs(fit - psi.values) ** 2).real))
     d = centers[:, None] - centers[None, :]
@@ -129,7 +127,7 @@ def decompose_state(psi: StateVector, ks: KernelSpace, spacing: float,
     return ComponentDecomposition(
         centers=centers, coefficients=coef, residual=residual, sum_sq=sumsq,
         weights=weights, max_offdiag_overlap=max_ovl,
-        near_orthogonal=max_ovl < overlap_threshold, condition_number=cond)
+        near_orthogonal=max_ovl < _OVERLAP_THRESHOLD, condition_number=cond)
 
 
 # normals per draw buffer (2**17 float64, 1 MiB) of _epoch_steps and of each
@@ -167,28 +165,21 @@ def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
 
 
 def simulate_state_diffusion(psi: StateVector, cfg: DiffusionConfig, stream: RngStream,
-                             ks: KernelSpace, spacing: Optional[float] = None,
-                             centers: Optional[Sequence[float]] = None,
-                             dec: Optional[ComponentDecomposition] = None) -> DensityEstimate:
-    """Diffuse the components of psi and histogram the arrivals.
+                             ks: KernelSpace, dec: ComponentDecomposition) -> DensityEstimate:
+    """Diffuse the components of psi, whose decomposition is dec, and
+    histogram the arrivals.
 
-    psi is decomposed over centers (or the lattice of the given spacing)
-    unless dec, its decomposition, is passed in.  Each walker samples
-    component j with probability w_j, starts at center b_j, and takes one
-    Brownian displacement.  The histogram (bins of width sigma/4 covering all
-    centers +- 6 sigma) is compared against the reference density
-    |psi(a)|^2: l1_error is the total-variation distance between the binned
-    probability masses.  arrival_uniforms feed pooled_arrival_ks, and
-    component_masses component_mass_chi2.
+    Each walker samples component j with probability w_j, starts at center
+    b_j, and takes one Brownian displacement.  The histogram (bins of width
+    sigma/4 covering all centers +- 6 sigma) is compared against the
+    reference density |psi(a)|^2: l1_error is the total-variation distance
+    between the binned probability masses.  arrival_uniforms feed
+    pooled_arrival_ks, and component_masses component_mass_chi2.
     """
-    if dec is None:
-        if spacing is None:
-            spacing = 6.0 * ks.sigma
-        dec = decompose_state(psi, ks, spacing, centers=centers)
     if not dec.near_orthogonal:
         raise ValueError(
             f"state decomposition is not near-orthogonal "
-            f"(max overlap {dec.max_offdiag_overlap:.3f} >= 0.05)")
+            f"(max overlap {dec.max_offdiag_overlap:.3f} >= {_OVERLAP_THRESHOLD:g})")
 
     occupied = dec.centers[dec.weights > 1e-12]
     lo = occupied.min() - 6.0 * ks.sigma
@@ -300,9 +291,9 @@ def pooled_arrival_ks(estimates: Sequence[DensityEstimate], alpha: float):
     return stat, float(kolmogi(alpha) / np.sqrt(n))
 
 
-def density_functional(phi: StateVector, psi: StateVector, sigma: float,
-                       norm_tol: float = 1e-6) -> float:
-    """Transition density |<phi, psi>|^2 / sigma between normalized states.
+def density_functional(phi: StateVector, psi: StateVector, sigma: float) -> float:
+    """Transition density |<phi, psi>|^2 / sigma between normalized states
+    (norms within 1e-6 of 1).
 
     Evaluated both directly and as the literal double-quadrature quadratic
     form with kernel conj(psi(x)) psi(y) / sigma; the two routes are
@@ -310,7 +301,7 @@ def density_functional(phi: StateVector, psi: StateVector, sigma: float,
     quadrature implementation.
     """
     for s in (phi, psi):
-        if abs(s.norm() - 1.0) > norm_tol:
+        if abs(s.norm() - 1.0) > 1e-6:
             raise ValueError("density_functional requires normalized states")
     g = phi.grid
     direct = abs(inner_l2(phi, psi)) ** 2 / sigma
@@ -345,10 +336,11 @@ class PdeCheck:
     expected_variances: np.ndarray
 
 
-def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream, start: float = 0.0,
+def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream,
                          n_epochs: int = 2) -> PdeCheck:
-    """March the walker histogram through Brownian epochs and compare against
-    the heat kernel with diffusion coefficient k = diffusion_sigma^2/(2 tau).
+    """March the walker histogram of walkers started at 0 through Brownian
+    epochs and compare against the heat kernel with diffusion coefficient
+    k = diffusion_sigma^2/(2 tau).
 
     After e epochs the analytic density is a Gaussian of variance 2*k*(e*tau);
     the sup-norm residual is taken over bin-averaged densities, and the
@@ -362,13 +354,12 @@ def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream, start: float =
     sup = 0.0
     variances = np.empty(n_epochs)
     for e in range(1, n_epochs + 1):
-        xs = start + disp[e - 1]
+        xs = disp[e - 1]
         s_e = cfg.diffusion_sigma * np.sqrt(e)
-        lo, hi = start - 8.0 * s_e, start + 8.0 * s_e
-        edges = np.arange(lo, hi + width, width)
+        edges = np.arange(-8.0 * s_e, 8.0 * s_e + width, width)
         counts, _ = np.histogram(xs, bins=edges)
         dens = counts / cfg.n_walkers / width
-        z = (edges - start) / (np.sqrt(2.0) * s_e)
+        z = edges / (np.sqrt(2.0) * s_e)
         ref_mass = 0.5 * (erf(z[1:]) - erf(z[:-1]))
         sup = max(sup, float(np.max(np.abs(dens - ref_mass / width))))
         variances[e - 1] = np.var(xs)
@@ -461,25 +452,26 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
     return float(np.var(disp) / (2.0 * n_steps * cfg.tau))
 
 
-def random_superposition(ks: KernelSpace, stream: RngStream,
-                         min_components: int = 2, max_components: int = 5,
-                         spacing: Optional[float] = None):
+# component counts of random_superposition, drawn uniformly between the two
+_MIN_COMPONENTS, _MAX_COMPONENTS = 2, 5
+
+
+def random_superposition(ks: KernelSpace, stream: RngStream):
     """Random near-orthogonal superposition of embedded points.
 
-    Returns (psi, dec): psi has complex Gaussian coefficients over lattice
-    centers spaced >= 6 sigma and is normalized; dec is its decomposition
-    over those centers, whose weights are the exact squared coefficients of
-    the normalized state, renormalized to sum to 1 (simulate_state_diffusion
+    Returns (psi, dec): psi has complex Gaussian coefficients over
+    _MIN_COMPONENTS to _MAX_COMPONENTS centers of a 6 sigma lattice, 6 sigma
+    inside the cell, and is normalized; dec is its decomposition over those
+    centers, whose weights are the exact squared coefficients of the
+    normalized state, renormalized to sum to 1 (simulate_state_diffusion
     takes it as is).
     """
-    if spacing is None:
-        spacing = 6.0 * ks.sigma
     rng = stream.generator()
-    n_comp = int(rng.integers(min_components, max_components + 1))
+    n_comp = int(rng.integers(_MIN_COMPONENTS, _MAX_COMPONENTS + 1))
     g = ks.grid
     lo = g.x_min + 6.0 * ks.sigma
     hi = g.x_max - 6.0 * ks.sigma
-    lattice = np.arange(lo, hi, spacing)
+    lattice = np.arange(lo, hi, 6.0 * ks.sigma)
     if len(lattice) < n_comp:
         raise ValueError("grid too small for the requested superposition")
     centers = np.sort(rng.choice(lattice, size=n_comp, replace=False))
@@ -488,4 +480,4 @@ def random_superposition(ks: KernelSpace, stream: RngStream,
     for b, c in zip(centers, coef):
         vals += c * embed_point(float(b), ks).values
     psi = StateVector(g, vals).normalized()
-    return psi, decompose_state(psi, ks, spacing, centers=centers)
+    return psi, decompose_state(psi, ks, centers)

@@ -160,9 +160,10 @@ def apply_hamiltonian(psi: StateVector, V: PotentialSpec, phys: PhysicsParams) -
     return StateVector(g, kin + V.values(g) * psi.values)
 
 
-def _occupied_bandwidth(psi: StateVector, rel_floor: float = 1e-12) -> float:
+def _occupied_bandwidth(psi: StateVector) -> float:
+    """Largest |k| whose Fourier amplitude exceeds 1e-12 of the peak."""
     spectrum = np.abs(fft(psi.values))
-    mask = spectrum > rel_floor * spectrum.max()
+    mask = spectrum > 1e-12 * spectrum.max()
     return float(np.max(np.abs(psi.grid.wavenumbers[mask])))
 
 
@@ -172,8 +173,6 @@ def _validate_step(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
     grid values, which the propagation then reuses."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not psi.grid.periodic:
-        raise ValueError("propagation requires a periodic grid")
     v = V.values(psi.grid)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential is not finite on the grid")
@@ -329,19 +328,23 @@ def newton_integrate(a0: float, p0: float, V: PotentialSpec, phys: PhysicsParams
 def packet_width_bound(t, sigma: float, V: PotentialSpec, phys: PhysicsParams) -> np.ndarray:
     """Upper bound on the packet width along the evolution.
 
-    Polynomials of degree at most 1 spread exactly like the free packet; a
-    quadratic well makes the width breathe between sigma and the coherent
-    width, so the bound is their maximum.  Noise adds a linear slope only
-    and does not change the width.  For other potentials the free-spreading
-    curve is a heuristic, not a bound.
+    Polynomials of degree at most 1 spread exactly like the free packet,
+    sigma(t)^2 = sigma^2 + (hbar t / 2 m sigma)^2.  A quadratic well of
+    frequency omega makes the width breathe,
+    sigma(t)^2 = sigma^2 cos^2(omega t) + (hbar / 2 m omega sigma)^2 sin^2(omega t),
+    which stays under both the larger of sigma and the coherent-state width
+    and the free curve (|sin(omega t)| <= omega t), so the bound is their
+    minimum.  Noise adds a linear slope only and does not change the width.
+    For other potentials the free-spreading curve is a heuristic, not a
+    bound.
     """
     t = np.asarray(t, dtype=float)
+    free = sigma * np.sqrt(1.0 + (phys.hbar * t / (2.0 * phys.mass * sigma**2)) ** 2)
     c = V.coeffs
     if V.samples is None and len(c) == 3 and c[2] > 0:
         omega = np.sqrt(2.0 * c[2] / phys.mass)
-        cap = max(sigma, phys.hbar / (2.0 * phys.mass * omega * sigma))
-        return np.full_like(t, cap)
-    return sigma * np.sqrt(1.0 + (phys.hbar * t / (2.0 * phys.mass * sigma**2)) ** 2)
+        return np.minimum(free, max(sigma, phys.hbar / (2.0 * phys.mass * omega * sigma)))
+    return free
 
 
 @dataclass(frozen=True)
@@ -349,8 +352,7 @@ class VelocityDecomposition:
     """Named components of d(phi)/dt at a phase-space point, all in 1/time.
 
     total_norm^2 equals the sum of the four squared components (exactly for
-    potentials at most quadratic); the projective speed sqrt(total^2 - fibre^2)
-    equals energy_uncertainty/hbar.
+    potentials at most quadratic).
     """
 
     fibre_component: float
@@ -358,25 +360,21 @@ class VelocityDecomposition:
     momentum_component: float
     spread_component: float
     total_norm: float
-    energy_uncertainty: float
-    linearity_ok: bool = True
+    linearity_ok: bool
 
     @property
     def component_sum_sq(self) -> float:
         return (self.fibre_component ** 2 + self.position_component ** 2
                 + self.momentum_component ** 2 + self.spread_component ** 2)
 
-    @property
-    def projective_speed(self) -> float:
-        return float(np.sqrt(max(self.total_norm ** 2 - self.fibre_component ** 2, 0.0)))
 
-
-def linearity_flag(q: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
-                   grid: Optional[Grid] = None, threshold: float = 0.05) -> bool:
-    """True when V is effectively linear across the packet width at q.a."""
+def linearity_flag(q: GaussianParams, V: PotentialSpec,
+                   grid: Optional[Grid] = None) -> bool:
+    """True when V is effectively linear across the packet width at q.a:
+    |V''| sigma stays under 5% of |V'|."""
     v1 = abs(float(V.value_at(q.a, grid, order=1)))
     v2 = abs(float(V.value_at(q.a, grid, order=2)))
-    return v2 * q.sigma / max(v1, 1e-6) < threshold
+    return v2 * q.sigma / max(v1, 1e-6) < 0.05
 
 
 def velocity_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
@@ -400,12 +398,10 @@ def velocity_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsPar
     mom = inner_l2(dphi, mom_dir).real
     spread = inner_l2(dphi, sp_dir).real
     total = float(np.sqrt(h2)) / phys.hbar
-    dh = float(np.sqrt(max(h2 - e_bar ** 2, 0.0)))
     return VelocityDecomposition(
         fibre_component=float(fibre), position_component=float(pos),
         momentum_component=float(mom), spread_component=float(spread),
-        total_norm=total, energy_uncertainty=dh,
-        linearity_ok=linearity_flag(q, V, phys, grid))
+        total_norm=total, linearity_ok=linearity_flag(q, V, grid))
 
 
 def closed_form_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
@@ -420,9 +416,7 @@ def closed_form_decomposition(q: GaussianParams, V: PotentialSpec, phys: Physics
     comps = np.array([e_bar / hbar, v / (2 * s), m * w * s / hbar,
                       np.sqrt(2.0) * hbar / (8 * s ** 2 * m)])
     total = float(np.sqrt(np.sum(comps[1:] ** 2) + comps[0] ** 2))
-    dh = float(np.sqrt(np.sum(comps[1:] ** 2))) * hbar
-    return VelocityDecomposition(*comps, total, dh,
-                                 linearity_ok=linearity_flag(q, V, phys, grid))
+    return VelocityDecomposition(*comps, total, linearity_flag(q, V, grid))
 
 
 def projective_speed(psi: StateVector, V: PotentialSpec, phys: PhysicsParams):
@@ -441,8 +435,6 @@ def ehrenfest_check(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
                     dt: float = 1e-3):
     """Residuals |d<x>/dt - <p>/m| and |d<p>/dt + <V'>| from one centered
     propagation step each way."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     v = _validate_step(psi, V, phys, dt)
     plus, _ = _run_steps(psi, V, v, phys, 1, dt)
     minus, _ = _run_steps(psi, V, v, phys, 1, -dt)

@@ -93,24 +93,14 @@ class GaussianParams:
             raise ValueError("sigma must be positive")
 
 
-def _check_center(grid: Grid, a: float, sigma: float) -> None:
-    if grid.periodic:
-        if not (grid.x_min <= a <= grid.x_max):
-            raise ValueError(f"center {a} outside the domain [{grid.x_min}, {grid.x_max}]")
-    else:
-        margin = 10.0 * sigma
-        if not (grid.x_min + margin <= a <= grid.x_max - margin):
-            raise ValueError(
-                f"center {a} closer than 10 sigma to a non-periodic boundary")
-
-
 def realize(q: GaussianParams, grid: Grid, hbar: float = 1.0) -> StateVector:
     """Normalized Gaussian packet of width q.sigma at q.a with momentum q.p.
 
     This is the phase-space embedding: amplitude
     (2 pi sigma^2)^(-1/4) exp(-(x-a)^2/(4 sigma^2)) exp(i p (x-a)/hbar).
     """
-    _check_center(grid, q.a, q.sigma)
+    if not (grid.x_min <= q.a <= grid.x_max):
+        raise ValueError(f"center {q.a} outside the domain [{grid.x_min}, {grid.x_max}]")
     u = grid.wrap(grid.x - q.a)
     vals = (2.0 * np.pi * q.sigma ** 2) ** (-0.25) * np.exp(
         -(u ** 2) / (4.0 * q.sigma ** 2) + 1j * q.p * u / hbar)
@@ -130,8 +120,6 @@ def grid_delta(grid: Grid, a: float) -> StateVector:
     centers use the periodic-sinc cardinal kernel so that quadrature against
     any band-limited f returns the trigonometric interpolant f(a) exactly.
     """
-    if not grid.periodic:
-        raise ValueError("grid deltas require a periodic grid")
     u = grid.wrap(grid.x - a)
     n, L, dx = grid.n_points, grid.length, grid.dx
     out = np.empty(n)
@@ -154,46 +142,47 @@ def kernel_norm(f: StateVector, ks: KernelSpace) -> float:
     return float(np.sqrt(max(kernel_inner(f, f, ks).real, 0.0)))
 
 
-def fs_distance(f: StateVector, g: StateVector, norm_tol: float = 1e-6) -> float:
+def fs_distance(f: StateVector, g: StateVector) -> float:
     """Fubini-Study distance arccos|<f, g>| between the rays of two normalized
-    states; invariant under multiplication of either argument by a phase."""
+    states (norms within 1e-6 of 1); invariant under multiplication of either
+    argument by a phase."""
     for s in (f, g):
-        if abs(s.norm() - 1.0) > norm_tol:
+        if abs(s.norm() - 1.0) > 1e-6:
             raise ValueError("fs_distance requires normalized states")
     overlap = abs(inner_l2(f, g))
     return float(np.arccos(np.clip(overlap, 0.0, 1.0)))
 
 
-def h_norm_velocity(path: Callable[[float], float], ks: KernelSpace,
-                    t: float = 0.0, dt: float = 1e-4) -> float:
-    """Kernel-space speed of the delta path t -> delta_{a(t)}.
+# time step of the finite differences along a delta path, taken at t = 0
+_PATH_DT = 1e-4
+
+
+def h_norm_velocity(path: Callable[[float], float], ks: KernelSpace) -> float:
+    """Kernel-space speed of the delta path t -> delta_{a(t)} at t = 0.
 
     Central finite difference of the grid deltas; with distance measured in
     units of 2*sigma (the default sigma = 1/2) this equals |da/dt|.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    d = StateVector(ks.grid, (grid_delta(ks.grid, path(t + dt)).values
-                              - grid_delta(ks.grid, path(t - dt)).values) / (2.0 * dt))
+    dt = _PATH_DT
+    d = StateVector(ks.grid, (grid_delta(ks.grid, path(dt)).values
+                              - grid_delta(ks.grid, path(-dt)).values) / (2.0 * dt))
     return kernel_norm(d, ks)
 
 
 def delta_path_projection(path: Callable[[float], float], order: int,
-                          ks: KernelSpace, t: float = 0.0, dt: float = 1e-4) -> float:
-    """Component of the 1st/2nd time derivative of the delta path along the
-    position direction -d/dx delta, expressed in spatial units.
+                          ks: KernelSpace) -> float:
+    """Component of the 1st/2nd time derivative of the delta path at t = 0
+    along the position direction -d/dx delta, expressed in spatial units.
 
     Recovers da/dt (order 1) and d^2a/dt^2 (order 2) of the underlying
     classical path.  Reversing the path flips the sign of order 1.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    a0 = path(t)
-    d0 = grid_delta(ks.grid, a0)
-    dp = grid_delta(ks.grid, path(t + dt))
-    dm = grid_delta(ks.grid, path(t - dt))
+    dt = _PATH_DT
+    d0 = grid_delta(ks.grid, path(0.0))
+    dp = grid_delta(ks.grid, path(dt))
+    dm = grid_delta(ks.grid, path(-dt))
     if order == 1:
         deriv = (dp.values - dm.values) / (2.0 * dt)
     else:
@@ -243,18 +232,16 @@ def gram_matrix(centers: np.ndarray, ks: KernelSpace) -> np.ndarray:
     return ks.grid.dx * (S @ S.T)
 
 
-def completeness_rank(ks: KernelSpace, spacing: float | None = None,
-                      margin_sigmas: float = 5.0) -> tuple[int, int]:
+def completeness_rank(ks: KernelSpace) -> tuple[int, int]:
     """Numerical-rank proxy for completeness of the embedded point set.
 
     Builds the Gram matrix of embedded points on a sigma-spaced lattice of
-    centers and returns (rank, n_centers).  A rank fraction near 1 supports
-    completeness; it cannot prove the exact functional-analytic statement.
+    centers, 5 sigma inside the cell, and returns (rank, n_centers).  A rank
+    fraction near 1 supports completeness; it cannot prove the exact
+    functional-analytic statement.
     """
-    if spacing is None:
-        spacing = ks.sigma
-    lo = ks.grid.x_min + margin_sigmas * ks.sigma
-    hi = ks.grid.x_max - margin_sigmas * ks.sigma
-    centers = np.arange(lo, hi, spacing)
+    lo = ks.grid.x_min + 5.0 * ks.sigma
+    hi = ks.grid.x_max - 5.0 * ks.sigma
+    centers = np.arange(lo, hi, ks.sigma)
     G = gram_matrix(centers, ks).real
     return int(np.linalg.matrix_rank(G)), len(centers)

@@ -1,18 +1,19 @@
-"""Grids, quadrature, discrete Fourier transforms and reproducible random streams.
+"""Grids, quadrature, spectral derivatives and reproducible random streams.
 
 Everything downstream (kernel geometry, propagation, Monte Carlo) is built on
-the uniform periodic grid defined here.  All types are immutable after
-construction and all operations are pure functions, so they are safe to share
-across threads.
+the uniform periodic grid defined here; every route through it is spectral,
+so no other kind of grid exists.  All types are immutable after construction
+and all operations are pure functions, so they are safe to share across
+threads.
 
 Every FFT of the package goes through :func:`fft` and :func:`ifft`: they cast
 their input to complex128 and run ``scipy.fft``'s complex-to-complex
 transform, whose bits equal ``numpy.fft``'s with numpy >= 2 (both are the C++
 pocketfft).  Real input is cast first because scipy's real-to-complex path
-rounds differently.  Only fftfreq and the shifts stay on numpy.  No buffer or
-plan is kept between calls.  The split-step kernel of dynamics calls
-``scipy.fft`` itself, unscaled, on a buffer it allocates per call; its
-results match the ``numpy.fft`` expression to round-off, not bit for bit.
+rounds differently.  Only fftfreq stays on numpy.  No buffer or plan is kept
+between calls.  The split-step kernel of dynamics calls ``scipy.fft``
+itself, unscaled, on a buffer it allocates per call; its results match the
+``numpy.fft`` expression to round-off, not bit for bit.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ class NumericalBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-D spatial grid carrying equal-weight quadrature.
+    """Uniform periodic 1-D grid carrying equal-weight quadrature.
 
     Nodes are x_j = x_min + j*dx for j = 0..n_points-1 with
-    dx = (x_max - x_min)/n_points; on a periodic grid x_max is identified
-    with x_min, which makes the equal-weight rule spectrally accurate for
-    smooth integrands.
+    dx = (x_max - x_min)/n_points; x_max is identified with x_min, which
+    makes the equal-weight rule spectrally accurate for smooth integrands.
+    periodic must be True; the field stays because callers write
+    Grid(n, a, b, True).
     """
 
     n_points: int
@@ -45,6 +47,9 @@ class Grid:
     periodic: bool = True
 
     def __post_init__(self):
+        if self.periodic is not True:
+            raise ValueError(f"periodic must be true, not {self.periodic!r}: the "
+                             "propagator and the grid deltas are spectral")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if not self.x_max > self.x_min:
@@ -76,8 +81,6 @@ class Grid:
 
     def wrap(self, displacement):
         """Minimal-image displacement on the periodic domain."""
-        if not self.periodic:
-            return displacement
         L = self.length
         return np.remainder(np.asarray(displacement) + 0.5 * L, L) - 0.5 * L
 
@@ -139,44 +142,9 @@ def ifft(values) -> np.ndarray:
 
 def spectral_derivative(f: StateVector, order: int = 1) -> StateVector:
     """Differentiate a band-limited state by multiplication in Fourier space."""
-    if not f.grid.periodic:
-        raise ValueError("spectral derivative requires a periodic grid")
     k = f.grid.wavenumbers
     out = ifft((1j * k) ** order * fft(f.values))
     return StateVector(f.grid, out)
-
-
-def dft(f: StateVector, hbar: float = 1.0) -> StateVector:
-    """Unitary transform to the momentum representation.
-
-    Conventions: psi~(p) = (2 pi hbar)^(-1/2) * integral psi(x) exp(-i p x/hbar) dx,
-    discretised with the grid quadrature; the output lives on the natural
-    momentum grid p in [-pi*hbar/dx, pi*hbar/dx).  Norms and inner products
-    are preserved exactly (discrete Parseval).
-    """
-    g = f.grid
-    if not g.periodic:
-        raise ValueError("dft requires a periodic grid")
-    k = g.wavenumbers
-    coef = g.dx / np.sqrt(2.0 * np.pi * hbar) * np.exp(-1j * k * g.x_min)
-    tilde = np.fft.fftshift(coef * fft(f.values))
-    p = np.fft.fftshift(hbar * k)
-    dp = 2.0 * np.pi * hbar / g.length
-    pgrid = Grid(g.n_points, float(p[0]), float(p[0] + g.n_points * dp), periodic=True)
-    return StateVector(pgrid, tilde)
-
-
-def idft(f_tilde: StateVector, xgrid: Grid, hbar: float = 1.0) -> StateVector:
-    """Inverse of :func:`dft` back onto the original position grid."""
-    if not xgrid.periodic:
-        raise ValueError("idft requires a periodic grid")
-    est_dp = 2.0 * np.pi * hbar / xgrid.length
-    if f_tilde.grid.n_points != xgrid.n_points or not np.isclose(f_tilde.grid.dx, est_dp):
-        raise ValueError("momentum grid is not the dft image of the given position grid")
-    k = xgrid.wavenumbers
-    coef = xgrid.dx / np.sqrt(2.0 * np.pi * hbar) * np.exp(-1j * k * xgrid.x_min)
-    tilde = np.fft.ifftshift(f_tilde.values)
-    return StateVector(xgrid, ifft(tilde / coef))
 
 
 @dataclass(frozen=True)

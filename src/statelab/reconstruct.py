@@ -28,12 +28,12 @@ def ladder_lowering(n: int) -> np.ndarray:
     return a
 
 
-def position_momentum(n: int, phys: PhysicsParams, omega0: float = 1.0):
+def position_momentum(n: int, phys: PhysicsParams):
     """Truncated X (real) and P (imaginary) matrices for a basis oscillator of
-    frequency omega0."""
+    unit frequency."""
     a = ladder_lowering(n)
-    X = np.sqrt(phys.hbar / (2.0 * phys.mass * omega0)) * (a + a.T)
-    P = 1j * np.sqrt(phys.mass * omega0 * phys.hbar / 2.0) * (a.T - a)
+    X = np.sqrt(phys.hbar / (2.0 * phys.mass)) * (a + a.T)
+    P = 1j * np.sqrt(phys.mass * phys.hbar / 2.0) * (a.T - a)
     return X, P
 
 
@@ -77,12 +77,12 @@ class ReconstructionResult:
     interior: int
 
 
-def build_operators(n: int, phys: PhysicsParams, v_coeffs: Sequence[float],
-                    buffer: int | None = None, omega0: float = 1.0) -> OperatorTriple:
+def build_operators(n: int, phys: PhysicsParams, v_coeffs: Sequence[float]) -> OperatorTriple:
     """Assemble the operator triple for a polynomial potential (degree <= 4).
 
-    buffer defaults to 4 + 2*deg(V) and must be at least twice the degree so
-    the corrupted rows stay outside the trusted block.
+    The buffer is 4 + 2*deg(V) rows: more than twice the degree, so the
+    corrupted rows stay outside the trusted block, and at most 12, so the
+    interior of a basis of n >= 16 is never empty.
     """
     if n < 16:
         raise ValueError("basis dimension must be at least 16")
@@ -90,15 +90,9 @@ def build_operators(n: int, phys: PhysicsParams, v_coeffs: Sequence[float],
     deg = len(coeffs) - 1
     if deg > 4:
         raise ValueError("potential degree must be at most 4")
-    if buffer is None:
-        buffer = 4 + 2 * deg
-    if buffer < 2 * deg:
-        raise ValueError(f"buffer {buffer} too small for degree {deg}")
-    if buffer >= n:
-        raise ValueError("buffer leaves no interior block")
-    X, P = position_momentum(n, phys, omega0)
+    X, P = position_momentum(n, phys)
     F = -matrix_polynomial(polyder(coeffs), X)
-    return OperatorTriple(n=n, buffer=int(buffer), X=X, P=P, F=F, v_coeffs=coeffs)
+    return OperatorTriple(n=n, buffer=4 + 2 * deg, X=X, P=P, F=F, v_coeffs=coeffs)
 
 
 def reference_hamiltonian(ops: OperatorTriple, phys: PhysicsParams) -> np.ndarray:
@@ -234,7 +228,7 @@ def constraint_laplacian(ops: OperatorTriple) -> np.ndarray:
     return 2.0 * (np.diag(W.sum(axis=1)) - W)
 
 
-def kernel_of_constraints(ops: OperatorTriple, tol: float = 1e-10) -> int:
+def kernel_of_constraints(ops: OperatorTriple) -> int:
     """Dimension of the Hermitian null space of H -> (i[H,X], i[H,P]) on the
     trusted block; the uniqueness statement predicts exactly 1 (multiples of
     the identity).
@@ -242,11 +236,11 @@ def kernel_of_constraints(ops: OperatorTriple, tol: float = 1e-10) -> int:
     It is the null dimension of constraint_laplacian, the number of
     connected components of the graph W.  An eigenvalue lambda of the
     Laplacian is a squared singular value sigma^2 of the commutator map, and
-    lambda <= tol * lambda_max counts as null: the default 1e-10 is
+    lambda <= 1e-10 lambda_max counts as null, which is
     sigma <= 1e-5 sigma_max.  For build_operators' ladder X and P at
     n <= 128 the null eigenvalue is below 1e-16 lambda_max and the next (the
     Fiedler value) at least 8e-3 lambda_max.  Every one of the r counts when
     P vanishes on the block.
     """
     lam = np.linalg.eigvalsh(constraint_laplacian(ops))
-    return int(np.sum(lam <= tol * lam.max()))
+    return int(np.sum(lam <= 1e-10 * lam.max()))

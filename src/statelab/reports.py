@@ -29,19 +29,16 @@ class CheckRecord:
         }
 
 
-def check_abs(name: str, value: float, reference: float, tolerance: float,
-              note: str = "") -> CheckRecord:
+def check_abs(name: str, value: float, reference: float, tolerance: float) -> CheckRecord:
     """Pass when |value - reference| <= tolerance."""
     return CheckRecord(name, float(value), float(reference), float(tolerance),
-                       abs(value - reference) <= tolerance, "abs", note)
+                       abs(value - reference) <= tolerance, "abs")
 
 
-def check_rel(name: str, value: float, reference: float, tolerance: float,
-              note: str = "") -> CheckRecord:
+def check_rel(name: str, value: float, reference: float, tolerance: float) -> CheckRecord:
     """Pass when |value - reference| <= tolerance * |reference|."""
     ok = abs(value - reference) <= tolerance * abs(reference)
-    return CheckRecord(name, float(value), float(reference), float(tolerance),
-                       ok, "rel", note)
+    return CheckRecord(name, float(value), float(reference), float(tolerance), ok, "rel")
 
 
 def check_upper(name: str, value: float, bound: float, note: str = "") -> CheckRecord:

@@ -20,6 +20,14 @@ def phys():
     return PhysicsParams(hbar=1.0, mass=1.0)
 
 
+@pytest.fixture(scope="session")
+def lattice():
+    """Frame centers spacing apart, 5 kernel widths inside the cell."""
+    def centers(ks, spacing):
+        return np.arange(ks.grid.x_min + 5.0 * ks.sigma, ks.grid.x_max - 5.0 * ks.sigma, spacing)
+    return centers
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -110,6 +110,19 @@ def test_reconstruct_exit_zero(tmp_path):
     assert (out / "reconstruct.csv").exists()
 
 
+def test_com_ratios_do_not_depend_on_tau(tmp_path):
+    # every k_n scales as 1/tau, so k_n / k_1 does not; at tau = 1e300, k_1
+    # is about 2e-302 and must divide as it is
+    tables = {}
+    for tau in (1.0, 1e300):
+        cfgp = write_config(tmp_path, {"diffusion": {"tau": tau}})
+        code, out = run(tmp_path / str(tau), "solid-com", "--config", cfgp)
+        assert code == 0
+        tables[tau] = np.loadtxt(out / "solid_scaling.csv", delimiter=",", skiprows=1)
+    assert tables[1e300][0, 2] == 1.0
+    assert np.allclose(tables[1e300][:, 2], tables[1.0][:, 2], rtol=1e-12, atol=0.0)
+
+
 def test_report_overall_flag_is_conjunction(tmp_path):
     code, out = run(tmp_path, "solid-com")
     report = json.loads((out / "report.json").read_text())
@@ -117,16 +130,28 @@ def test_report_overall_flag_is_conjunction(tmp_path):
     assert code == (0 if report["overall_pass"] else 1)
 
 
-def test_non_periodic_grid_exits_two(tmp_path):
+def test_non_periodic_grid_exits_two(tmp_path, capsys):
     cfgp = write_config(tmp_path, {"grid": {"periodic": False}})
     code, _ = run(tmp_path, "geometry-identities", "--config", cfgp)
     assert code == 2
+    assert "grid.periodic must be true" in capsys.readouterr().err
 
 
 def test_dynamics_checks_exit_zero(tmp_path):
     code, out = run(tmp_path, "dynamics-checks")
     assert code == 0
     assert (out / "trajectory.csv").exists()
+
+
+def test_weak_harmonic_well_keeps_a_horizon(tmp_path):
+    # at stiffness 0.1 the coherent width hbar / (2 m omega sigma) is 3.2, so
+    # six of it reach the seam from the start; the packet widens no faster
+    # than a free one, which keeps it clear for a positive horizon
+    cfgp = write_config(tmp_path, {"potential": {"kind": "harmonic", "stiffness": 0.1}})
+    code, out = run(tmp_path, "dynamics-checks", "--config", cfgp)
+    assert code == 0
+    last_t = float((out / "trajectory.csv").read_text().splitlines()[-1].split(",")[0])
+    assert 0.0 < last_t < 2.0 * np.pi
 
 
 def test_horizon_stops_short_of_the_seam(tmp_path):
@@ -386,7 +411,7 @@ def test_born_diffusion_memory_per_walker(monkeypatch):
     assert (peak(80_000) - peak(20_000)) / 60_000 <= 90
 
 
-def test_superposition_lattice_checked_at_validation(tmp_path, capsys):
+def test_superposition_lattice_checked_at_validation(tmp_path, capsys, monkeypatch):
     # born-diffusion's superpositions need 5 centers 6 sigma apart inside
     # 6 sigma margins, so L > 36 sigma; on the default grid (L = 32) sigma =
     # 0.9 breaks it, and the run stops before any section
@@ -399,7 +424,8 @@ def test_superposition_lattice_checked_at_validation(tmp_path, capsys):
     assert not (out / "report.json").exists()
     # a width just inside the bound leaves room for the largest superposition
     cfg = ExperimentConfig({"kernel": {"sigma": 0.88}})
-    _, dec = random_superposition(cfg.kernel, cfg.stream(11), 5, 5)
+    monkeypatch.setattr(diff, "_MIN_COMPONENTS", diff._MAX_COMPONENTS)
+    _, dec = random_superposition(cfg.kernel, cfg.stream(11))
     assert len(dec.centers) == 5
 
 

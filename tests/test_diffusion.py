@@ -23,11 +23,16 @@ def stream(stream_id=1, seed=77):
     return RngStream(seed, stream_id)
 
 
+def simulate(psi, c, s, ks, centers):
+    """simulate_state_diffusion of psi decomposed over centers."""
+    return simulate_state_diffusion(psi, c, s, ks, decompose_state(psi, ks, centers))
+
+
 # ------------------------------------------------------------- decompose
 
 def test_decompose_single_component(grid, ks):
     psi = embed_point(0.0, ks)
-    dec = decompose_state(psi, ks, spacing=6 * SIGMA, centers=np.arange(-9.0, 9.1, 3.0))
+    dec = decompose_state(psi, ks, np.arange(-9.0, 9.1, 3.0))
     j = int(np.argmin(np.abs(dec.centers)))
     assert abs(dec.coefficients[j]) == pytest.approx(1.0, abs=1e-6)
     others = np.delete(np.abs(dec.coefficients), j)
@@ -41,7 +46,7 @@ def test_decompose_two_component_weights(grid, ks):
     b1, b2 = -1.5, 1.5   # separation 6 sigma
     vals = 0.6 * embed_point(b1, ks).values + 0.8 * embed_point(b2, ks).values
     psi = StateVector(grid, vals).normalized()
-    dec = decompose_state(psi, ks, spacing=3.0, centers=np.array([b1, b2]))
+    dec = decompose_state(psi, ks, [b1, b2])
     assert dec.weights[0] == pytest.approx(0.36, abs=1e-3)
     assert dec.weights[1] == pytest.approx(0.64, abs=1e-3)
     assert dec.near_orthogonal
@@ -50,27 +55,27 @@ def test_decompose_two_component_weights(grid, ks):
     assert dec.sum_sq == pytest.approx(1.0 / (1.0 + 0.96 * g12), rel=1e-6)
 
 
-def test_decompose_residual_decreases_with_refinement(grid, ks):
+def test_decompose_residual_decreases_with_refinement(grid, ks, lattice):
     # generic smooth state not in the frame span
     vals = np.exp(-(grid.x - 0.4) ** 2 / 3.0) * np.exp(0.3j * grid.x)
     psi = StateVector(grid, vals).normalized()
     residuals = []
     for spacing in (3.0, 1.5, 0.75):
-        dec = decompose_state(psi, ks, spacing=spacing)
+        dec = decompose_state(psi, ks, lattice(ks, spacing))
         residuals.append(dec.residual)
     assert residuals[0] > residuals[1] > residuals[2]
 
 
-def test_decompose_ill_conditioned_frame(grid, ks):
+def test_decompose_ill_conditioned_frame(grid, ks, lattice):
     with pytest.raises(NumericalBreakdownError):
-        decompose_state(embed_point(0.0, ks), ks, spacing=SIGMA / 25.0)
+        decompose_state(embed_point(0.0, ks), ks, lattice(ks, SIGMA / 25.0))
 
 
-def test_decompose_near_orthogonal_flag(grid, ks):
+def test_decompose_near_orthogonal_flag(grid, ks, lattice):
     psi = embed_point(0.0, ks)
-    dec3 = decompose_state(psi, ks, spacing=3 * SIGMA)
+    dec3 = decompose_state(psi, ks, lattice(ks, 3 * SIGMA))
     assert not dec3.near_orthogonal      # overlap exp(-9/8) ~ 0.32
-    dec6 = decompose_state(psi, ks, spacing=6 * SIGMA)
+    dec6 = decompose_state(psi, ks, lattice(ks, 6 * SIGMA))
     assert dec6.near_orthogonal          # overlap exp(-9/2) ~ 0.011
 
 
@@ -108,7 +113,7 @@ def test_epoch_steps_are_rows_of_one_draw(monkeypatch, normals):
 
 def test_simulate_single_component(grid, ks):
     psi = embed_point(0.0, ks)
-    est = simulate_state_diffusion(psi, cfg(), stream(2), ks, centers=np.array([0.0]))
+    est = simulate(psi, cfg(), stream(2), ks, [0.0])
     assert est.l1_error < 0.02
     assert est.component_masses[0] == 1.0
     total_mass = est.counts.sum() / est.n_walkers
@@ -121,7 +126,7 @@ def test_simulate_two_component_split(grid, ks):
     b1, b2 = -1.5, 1.5
     vals = 0.6 * embed_point(b1, ks).values + 0.8 * embed_point(b2, ks).values
     psi = StateVector(grid, vals).normalized()
-    est = simulate_state_diffusion(psi, cfg(), stream(3), ks, centers=np.array([b1, b2]))
+    est = simulate(psi, cfg(), stream(3), ks, [b1, b2])
     # mass on the two half-lines splits 0.36 / 0.64
     mids = 0.5 * (est.bin_edges[:-1] + est.bin_edges[1:])
     left = est.counts[mids < 0].sum() / est.n_walkers
@@ -135,7 +140,7 @@ def test_simulate_degenerate_kernel_limit(grid, ks):
     vals = 0.6 * embed_point(b1, ks).values + 0.8 * embed_point(b2, ks).values
     psi = StateVector(grid, vals).normalized()
     c = cfg(n=20_000, ds=1e-9)
-    est = simulate_state_diffusion(psi, c, stream(4), ks, centers=np.array([b1, b2]))
+    est = simulate(psi, c, stream(4), ks, [b1, b2])
     mids = 0.5 * (est.bin_edges[:-1] + est.bin_edges[1:])
     occupied = est.counts > 0
     assert np.all(np.minimum(np.abs(mids[occupied] - b1),
@@ -143,10 +148,10 @@ def test_simulate_degenerate_kernel_limit(grid, ks):
     assert est.component_masses[0] == pytest.approx(0.36, abs=0.01)
 
 
-def test_simulate_requires_near_orthogonal(grid, ks):
+def test_simulate_requires_near_orthogonal(grid, ks, lattice):
     psi = embed_point(0.0, ks)
     with pytest.raises(ValueError):
-        simulate_state_diffusion(psi, cfg(n=1000), stream(), ks, spacing=3 * SIGMA)
+        simulate(psi, cfg(n=1000), stream(), ks, lattice(ks, 3 * SIGMA))
 
 
 def test_born_statistics_random_superpositions(grid, ks, mixture_ks):
@@ -154,7 +159,7 @@ def test_born_statistics_random_superpositions(grid, ks, mixture_ks):
     for case in range(3):
         psi, dec = random_superposition(ks, RngStream(42, 11).child(case))
         c, s = cfg(), stream(100 + case)
-        est = simulate_state_diffusion(psi, c, s, ks, dec=dec)
+        est = simulate_state_diffusion(psi, c, s, ks, dec)
         assert est.l1_error < 0.02
         for w, m in zip(est.expected_weights, est.component_masses):
             sd = np.sqrt(w * (1 - w) / est.n_walkers)
@@ -167,8 +172,8 @@ def test_superposition_decomposition_is_the_one_simulated(ks):
     # the same centers, and changes no output
     psi, dec = random_superposition(ks, RngStream(42, 11).child(4))
     c = cfg(n=5000)
-    given = simulate_state_diffusion(psi, c, stream(104), ks, dec=dec)
-    redone = simulate_state_diffusion(psi, c, stream(104), ks, centers=dec.centers)
+    given = simulate_state_diffusion(psi, c, stream(104), ks, dec)
+    redone = simulate(psi, c, stream(104), ks, dec.centers)
     for field in ("bin_edges", "counts", "density", "reference_density",
                   "component_masses", "expected_weights", "arrival_uniforms"):
         assert np.array_equal(getattr(given, field), getattr(redone, field)), field
@@ -187,14 +192,14 @@ def test_arrival_chunks_are_slices_of_one_draw(ks, monkeypatch, chunk):
     finals = s.child(1).generator().standard_normal(c.n_walkers) * c.diffusion_sigma
     finals += dec.centers[comp]
     monkeypatch.setattr(diffusion, "_ARRIVAL_CHUNK", 10**6)
-    whole = simulate_state_diffusion(psi, c, s, ks, dec=dec)
+    whole = simulate_state_diffusion(psi, c, s, ks, dec)
     assert np.array_equal(whole.counts, np.histogram(finals, bins=whole.bin_edges)[0])
     assert np.array_equal(whole.component_masses,
                           np.bincount(comp, minlength=len(dec.centers)) / c.n_walkers)
     assert np.array_equal(whole.arrival_uniforms,
                           np.sort(ndtr((finals - dec.centers[comp]) / c.diffusion_sigma)))
     monkeypatch.setattr(diffusion, "_ARRIVAL_CHUNK", chunk)
-    est = simulate_state_diffusion(psi, c, s, ks, dec=dec)
+    est = simulate_state_diffusion(psi, c, s, ks, dec)
     for field in ("counts", "density", "component_masses", "arrival_uniforms"):
         assert np.array_equal(getattr(est, field), getattr(whole, field)), field
     assert est.l1_error == whole.l1_error
@@ -205,10 +210,10 @@ def test_state_diffusion_memory_at_1e5_walkers(ks):
     # chunks of _ARRIVAL_CHUNK walkers; only the 0.8 MB sample spans them all
     psi, dec = random_superposition(ks, RngStream(42, 11).child(0))
     c = cfg()
-    simulate_state_diffusion(psi, c, stream(18), ks, dec=dec)   # one-off allocations
+    simulate_state_diffusion(psi, c, stream(18), ks, dec)   # one-off allocations
     tracemalloc.start()
     try:
-        simulate_state_diffusion(psi, c, stream(18), ks, dec=dec)
+        simulate_state_diffusion(psi, c, stream(18), ks, dec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -221,12 +226,11 @@ def test_linearity_of_simulated_density(grid, ks):
     vals = (np.sqrt(0.3) * embed_point(b[0], ks).values
             + np.sqrt(0.7) * embed_point(b[1], ks).values)
     psi = StateVector(grid, vals).normalized()
-    est = simulate_state_diffusion(psi, cfg(), stream(5), ks, centers=b)
+    est = simulate(psi, cfg(), stream(5), ks, b)
 
     singles = []
     for j, bj in enumerate(b):
-        ej = simulate_state_diffusion(embed_point(bj, ks), cfg(), stream(6 + j), ks,
-                                      centers=np.array([bj]))
+        ej = simulate(embed_point(bj, ks), cfg(), stream(6 + j), ks, [bj])
         singles.append(np.interp(
             0.5 * (est.bin_edges[:-1] + est.bin_edges[1:]),
             0.5 * (ej.bin_edges[:-1] + ej.bin_edges[1:]), ej.density,

@@ -392,6 +392,22 @@ def test_noisy_packet_width_bound_equals_base(phys):
                           packet_width_bound(t, SIGMA, base, phys))
 
 
+@pytest.mark.parametrize("stiffness", [1e-4, 0.01, 0.1, 1.0, 4.0, 25.0])
+@pytest.mark.parametrize("sigma", [0.2, SIGMA, 2.0])
+def test_packet_width_bound_covers_the_breathing_width(phys, stiffness, sigma):
+    # the exact width in a quadratic well of frequency omega,
+    # sigma^2 cos^2(omega t) + (hbar / 2 m omega sigma)^2 sin^2(omega t),
+    # lies under the bound, which lies under both the free curve and the cap
+    t = np.linspace(0.0, 2 * np.pi, 2001)
+    omega = np.sqrt(stiffness / phys.mass)
+    coherent = phys.hbar / (2 * phys.mass * omega * sigma)
+    exact = np.sqrt((sigma * np.cos(omega * t)) ** 2 + (coherent * np.sin(omega * t)) ** 2)
+    bound = packet_width_bound(t, sigma, PotentialSpec.harmonic(stiffness), phys)
+    free = packet_width_bound(t, sigma, PotentialSpec.free(), phys)
+    assert np.all(bound >= exact * (1.0 - 1e-12))
+    assert np.all(bound <= free) and np.all(bound <= max(sigma, coherent))
+
+
 def test_run_dynamics_propagates_each_trajectory_once(monkeypatch):
     # on the default config the configured trajectory is the canonical
     # harmonic one, so only it and the free trajectory are propagated

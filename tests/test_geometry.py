@@ -200,8 +200,6 @@ def test_delta_path_projection_sign_flip(ks):
 def test_delta_path_projection_validates(ks):
     with pytest.raises(ValueError):
         delta_path_projection(lambda t: t, 3, ks)
-    with pytest.raises(ValueError):
-        h_norm_velocity(lambda t: t, ks, dt=0.0)
 
 
 # ---------------------------------------------------------------- tangent basis

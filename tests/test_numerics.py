@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from statelab import (
-    Grid, RngStream, StateVector, dft, idft, inner_l2, quadrature,
+    Grid, RngStream, StateVector, inner_l2, quadrature,
 )
 from statelab.geometry import GaussianParams, realize
 
@@ -28,6 +28,9 @@ def test_grid_rejects_bad_input():
         Grid(0, 0, 1, True)
     with pytest.raises(ValueError):
         Grid(64, 1, 0, True)
+    # every route through a grid is spectral, so only periodic grids exist
+    with pytest.raises(ValueError, match="^periodic must be true"):
+        Grid(64, 0, 1, False)
     with pytest.raises(ValueError, match="x_max - x_min is not finite"):
         Grid(64, -1e308, 1e308, True)
 
@@ -83,56 +86,6 @@ def test_inner_l2_rejects_mismatched_grids(grid):
     other = Grid(256, -16.0, 16.0)
     with pytest.raises(ValueError):
         inner_l2(_packet(grid, 0.0), _packet(other, 0.0))
-
-
-def test_dft_gaussian_momentum_width_oracle(grid):
-    # analytic Fourier pair: position width sigma -> momentum width hbar/(2 sigma);
-    # oracle evaluates the Fourier integral by quadrature at sample momenta
-    sigma, hbar = 0.5, 1.0
-    f = _packet(grid, 0.0, 0.0, sigma)
-    tilde = dft(f, hbar=hbar)
-
-    norm = (2 * np.pi * sigma**2) ** -0.25
-    for target in (0.0, 0.5, 1.0, 2.0):
-        j = int(np.argmin(np.abs(tilde.grid.x - target)))
-        p = float(tilde.grid.x[j])
-
-        def re_part(x, p=p):
-            return norm * np.exp(-x**2 / (4 * sigma**2)) * np.cos(p * x / hbar)
-
-        val, err = quad(re_part, -np.inf, np.inf)
-        val /= np.sqrt(2 * np.pi * hbar)
-        assert err < 1e-7
-        assert tilde.values[j].real == pytest.approx(val, abs=1e-10)
-        assert abs(tilde.values[j].imag) < 1e-10
-    # width check: |tilde|^2 is Gaussian with std hbar/(2 sigma)
-    dens = tilde.density()
-    var = quadrature(tilde.grid, tilde.grid.x**2 * dens).real
-    assert np.sqrt(var) == pytest.approx(hbar / (2 * sigma), rel=1e-8)
-
-
-def test_dft_unitary_and_invertible(grid, rng):
-    for _ in range(100):
-        a = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-        b = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-        f, g = StateVector(grid, a), StateVector(grid, b)
-        tf, tg = dft(f), dft(g)
-        assert inner_l2(tf, tg) == pytest.approx(inner_l2(f, g), abs=1e-10)
-        back = idft(tf, grid)
-        assert np.max(np.abs(back.values - f.values)) < 1e-10
-
-
-def test_dft_parseval(grid, rng):
-    f = StateVector(grid, rng.standard_normal(grid.n_points)
-                    + 1j * rng.standard_normal(grid.n_points))
-    assert dft(f).norm() == pytest.approx(f.norm(), abs=1e-10)
-
-
-def test_dft_rejects_non_periodic():
-    g = Grid(128, -8.0, 8.0, periodic=False)
-    f = StateVector(g, np.exp(-g.x**2))
-    with pytest.raises(ValueError):
-        dft(f)
 
 
 def test_rng_stream_reproducible():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from statelab.cli import SCHEMA, ExperimentConfig, ValidationError, _check_born_width
 from statelab.dynamics import PhysicsParams, PotentialSpec, propagate
 from statelab.geometry import fs_distance
-from statelab.numerics import Grid, RngStream, StateVector, dft, idft
+from statelab.numerics import Grid, RngStream, StateVector
 from statelab.reconstruct import build_operators, constraint_residuals, solve_hamiltonian
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40,
@@ -42,16 +42,6 @@ def test_propagate_is_unitary(seed, stiffness, noise, t_final):
     V = PotentialSpec.noisy(PotentialSpec.harmonic(stiffness), noise, RngStream(seed, 15))
     out = propagate(psi, V, PhysicsParams(1.0, 1.0), t_final, 1e-3)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-@PROPERTY
-@given(grid=cells, seed=seeds, hbar=st.floats(0.1, 10.0))
-def test_dft_idft_round_trip(grid, seed, hbar):
-    psi = random_state(grid, seed)
-    tilde = dft(psi, hbar=hbar)
-    assert tilde.norm() == pytest.approx(1.0, abs=1e-12)
-    back = idft(tilde, grid, hbar=hbar)
-    assert np.abs(back.values - psi.values).max() < 1e-12 * np.abs(psi.values).max()
 
 
 @PROPERTY
