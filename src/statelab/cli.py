@@ -213,6 +213,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
                 data = json.load(fh)
         except FileNotFoundError as exc:
             raise ValidationError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:   # a directory, no permission, not UTF-8
+            raise ValidationError(f"config file {path!r} is unreadable: {exc}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -434,7 +436,7 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
 
     @functools.cache
     def paired(q, V, t_final, t_max):
-        return dyn._paired_trajectories(q, V, phys, grid, t_final, _TRAJECTORY_DT, 64,
+        return dyn._paired_trajectories(q, V, phys, grid, t_final, _TRAJECTORY_DT,
                                         newton(q, V, t_max))
 
     def max_dev(q, V, t_final):
@@ -538,7 +540,7 @@ def run_born_diffusion(cfg: ExperimentConfig) -> Report:
     # first three return only what their checks read and run first, so their
     # walker arrays are freed before the superpositions' KS samples pile up.
     jobs = [single_component_l1, two_component_split,
-            functools.partial(diff.verify_diffusion_pde, dcfg, cfg.stream(13), n_epochs=2),
+            functools.partial(diff.verify_diffusion_pde, dcfg, cfg.stream(13)),
             *(functools.partial(superposition, case) for case in range(10))]
     pool = diff._pool()
     futures = [pool.submit(job) for job in jobs]
@@ -709,10 +711,14 @@ def main(argv=None) -> int:
         report, code = _run_section(args.subcommand, cfg)
     elapsed = time.perf_counter() - started
 
-    for name, (header, rows) in report.tables.items():
-        write_csv(out / name, header, rows)
-    with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
+    try:
+        for name, (header, rows) in report.tables.items():
+            write_csv(out / name, header, rows)
+        with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report.to_json())
+    except OSError as exc:   # a directory on an output's path, a full disk
+        print(f"config error: output directory {str(out)!r}: {exc}", file=sys.stderr)
+        return 2
     print_report(report)
     # timing goes to the console only; report files must be run-to-run identical
     print(f"wall time: {elapsed:.2f} s; outputs in {out}")

@@ -130,28 +130,10 @@ def decompose_state(psi: StateVector, ks: KernelSpace,
         near_orthogonal=max_ovl < _OVERLAP_THRESHOLD, condition_number=cond)
 
 
-# normals per draw buffer (2**17 float64, 1 MiB) of _epoch_steps and of each
-# solid_com_diffusion block; a generator fills in C order, so row chunks
-# consume its stream as one (rows, columns) draw would
+# normals per draw buffer (2**17 float64, 1 MiB) of verify_diffusion_pde and
+# of each solid_com_diffusion block; a generator fills in C order, so row
+# chunks consume its stream as one (rows, columns) draw would
 _KICK_BUFFER_NORMALS = 2**17
-
-
-def _epoch_steps(cfg: DiffusionConfig, stream: RngStream, n_epochs: int) -> list[np.ndarray]:
-    """Brownian displacements, one array over the walkers per epoch; walker
-    i takes row i of one (n_walkers, n_epochs) draw.  The rows are drawn in
-    chunks through one reused buffer, so no walkers x epochs array is built."""
-    if n_epochs < 1:
-        raise ValueError("n_epochs must be at least 1")
-    rng = stream.generator()
-    rows = max(1, _KICK_BUFFER_NORMALS // n_epochs)
-    buf = np.empty((min(rows, cfg.n_walkers), n_epochs))
-    steps = [np.empty(cfg.n_walkers) for _ in range(n_epochs)]
-    for i0 in range(0, cfg.n_walkers, rows):
-        chunk = rng.standard_normal(out=buf[:cfg.n_walkers - i0])
-        chunk *= cfg.diffusion_sigma
-        for e, s in enumerate(steps):
-            s[i0:i0 + len(chunk)] = chunk[:, e]
-    return steps
 
 
 def _bin_reference_masses(psi: StateVector, edges: np.ndarray) -> np.ndarray:
@@ -336,25 +318,37 @@ class PdeCheck:
     expected_variances: np.ndarray
 
 
-def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream,
-                         n_epochs: int = 2) -> PdeCheck:
+# Brownian epochs that verify_diffusion_pde marches the walkers through
+_PDE_EPOCHS = 2
+
+
+def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream) -> PdeCheck:
     """March the walker histogram of walkers started at 0 through Brownian
     epochs and compare against the heat kernel with diffusion coefficient
     k = diffusion_sigma^2/(2 tau).
 
     After e epochs the analytic density is a Gaussian of variance 2*k*(e*tau);
     the sup-norm residual is taken over bin-averaged densities, and the
-    per-epoch variances exhibit additivity.
+    per-epoch variances exhibit additivity.  Walker i takes row i of one
+    (n_walkers, epochs) draw of steps, drawn in chunks through one reused
+    buffer.
     """
-    # displacement after each epoch, accumulated in place
-    disp = _epoch_steps(cfg, stream, n_epochs)
-    for e in range(1, n_epochs):
+    rng = stream.generator()
+    rows = max(1, _KICK_BUFFER_NORMALS // _PDE_EPOCHS)
+    buf = np.empty((min(rows, cfg.n_walkers), _PDE_EPOCHS))
+    disp = np.empty((_PDE_EPOCHS, cfg.n_walkers))
+    for i0 in range(0, cfg.n_walkers, rows):
+        chunk = rng.standard_normal(out=buf[:cfg.n_walkers - i0])
+        chunk *= cfg.diffusion_sigma
+        disp[:, i0:i0 + len(chunk)] = chunk.T
+    del buf, chunk   # free the draw buffer before binning
+    # running sums of the steps: disp[e] is the displacement after epoch e + 1
+    for e in range(1, _PDE_EPOCHS):
         disp[e] += disp[e - 1]
     width = cfg.diffusion_sigma / 4.0
     sup = 0.0
-    variances = np.empty(n_epochs)
-    for e in range(1, n_epochs + 1):
-        xs = disp[e - 1]
+    variances = np.empty(_PDE_EPOCHS)
+    for e, xs in enumerate(disp, start=1):
         s_e = cfg.diffusion_sigma * np.sqrt(e)
         edges = np.arange(-8.0 * s_e, 8.0 * s_e + width, width)
         counts, _ = np.histogram(xs, bins=edges)
@@ -363,7 +357,7 @@ def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream,
         ref_mass = 0.5 * (erf(z[1:]) - erf(z[:-1]))
         sup = max(sup, float(np.max(np.abs(dens - ref_mass / width))))
         variances[e - 1] = np.var(xs)
-    expected = cfg.diffusion_sigma ** 2 * np.arange(1, n_epochs + 1)
+    expected = cfg.diffusion_sigma ** 2 * np.arange(1, _PDE_EPOCHS + 1)
     return PdeCheck(max_sup_residual=sup, variances=variances,
                     expected_variances=expected)
 

@@ -281,13 +281,18 @@ def _run_steps(psi: StateVector, V: PotentialSpec, v: np.ndarray, phys: PhysicsP
     return StateVector(g, vals), records
 
 
+# (t, <x>, <p>) records a packet trajectory takes, about evenly spaced
+_N_RECORDS = 64
+
+
 def wavepacket_trajectory(psi: StateVector, V: PotentialSpec, phys: PhysicsParams,
-                          t_final: float, dt: float, n_records: int = 64):
-    """Propagate while recording (t, <x>, <p>); returns (times, xs, ps, final)."""
+                          t_final: float, dt: float):
+    """Propagate while recording (t, <x>, <p>) about _N_RECORDS times;
+    returns (times, xs, ps, final)."""
     v = _validate_step(psi, V, phys, dt)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
-    every = max(1, n_steps // n_records)
+    every = max(1, n_steps // _N_RECORDS)
     final, recs = _run_steps(psi, V, v, phys, n_steps, dt_eff, record_every=every)
     t, xs, ps = (np.array(col) for col in zip(*recs))
     return t, xs, ps, final
@@ -476,12 +481,12 @@ def anticommutator_identity_check(psi: StateVector, observable: str,
 
 
 def _paired_trajectories(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
-                         grid: Grid, t_final: float, dt: float, n_records: int, newton=None):
+                         grid: Grid, t_final: float, dt: float, newton=None):
     """The packet's recorded (t, <x>, <p>) and the leapfrog trajectory started
     at the same phase-space point, sampled at the record times: newton, if
     given (a newton_integrate result on this step to t_final or beyond)."""
     psi = realize(q0, grid, hbar=phys.hbar)
-    t, xs, ps, _ = wavepacket_trajectory(psi, V, phys, t_final, dt, n_records)
+    t, xs, ps, _ = wavepacket_trajectory(psi, V, phys, t_final, dt)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
     _, aa, pp = newton or newton_integrate(q0.a, q0.p, V, phys, t_final, dt_eff, grid)
@@ -490,10 +495,9 @@ def _paired_trajectories(q0: GaussianParams, V: PotentialSpec, phys: PhysicsPara
 
 
 def constrained_motion_check(q0: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
-                             grid: Grid, t_final: float, dt: float = 1e-3,
-                             n_records: int = 64):
+                             grid: Grid, t_final: float, dt: float = 1e-3):
     """Max deviation of the packet's (<x>, <p>) from the Newtonian trajectory
     started at the same phase-space point.  Exact up to solver error for
     potentials at most quadratic."""
-    _, xs, ps, xn, pn = _paired_trajectories(q0, V, phys, grid, t_final, dt, n_records)
+    _, xs, ps, xn, pn = _paired_trajectories(q0, V, phys, grid, t_final, dt)
     return float(np.max(np.abs(xs - xn))), float(np.max(np.abs(ps - pn)))

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from statelab import Grid, KernelSpace, PhysicsParams, diffusion
+from statelab import diffusion
+from statelab.dynamics import PhysicsParams
+from statelab.geometry import KernelSpace
+from statelab.numerics import Grid
 
 
 @pytest.fixture(scope="session")

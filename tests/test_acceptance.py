@@ -11,16 +11,21 @@ import time
 import numpy as np
 import pytest
 
-from statelab import (
-    DiffusionConfig, GaussianParams, Grid, KernelSpace, PhysicsParams,
-    PotentialSpec, RngStream, StateVector,
-    anticommutator_identity_check, build_operators, closed_form_decomposition,
-    constrained_motion_check, delta_path_projection, ehrenfest_check,
-    embed_point, fs_distance, fs_metric_restriction_check, h_norm_velocity,
-    kernel_of_constraints, random_superposition, random_unitary, realize,
-    simulate_state_diffusion, solid_com_diffusion, solve_hamiltonian,
-    velocity_decomposition, verify_diffusion_pde, density_functional,
+from statelab.diffusion import (
+    DiffusionConfig, density_functional, random_superposition, random_unitary,
+    simulate_state_diffusion, solid_com_diffusion, verify_diffusion_pde,
 )
+from statelab.dynamics import (
+    PhysicsParams, PotentialSpec, anticommutator_identity_check,
+    closed_form_decomposition, constrained_motion_check, ehrenfest_check,
+    velocity_decomposition,
+)
+from statelab.geometry import (
+    GaussianParams, KernelSpace, delta_path_projection, embed_point, fs_distance,
+    fs_metric_restriction_check, h_norm_velocity, realize,
+)
+from statelab.numerics import Grid, RngStream, StateVector
+from statelab.reconstruct import build_operators, kernel_of_constraints, solve_hamiltonian
 
 SEED = 20250809
 SIGMA = 0.5
@@ -177,7 +182,7 @@ def test_criterion_07_hamiltonian_reconstruction():
 def test_criterion_08_diffusion_pde():
     with _Budget(8, "heat-kernel sup residual < 0.03; variance additivity 5%", 30.0):
         cfg = DiffusionConfig(100_000, 1.0, SIGMA)
-        res = verify_diffusion_pde(cfg, RngStream(SEED, 13), n_epochs=2)
+        res = verify_diffusion_pde(cfg, RngStream(SEED, 13))
         assert res.max_sup_residual < 0.03
         for var, want in zip(res.variances, res.expected_variances):
             assert abs(var - want) <= 0.05 * want

@@ -81,6 +81,21 @@ def test_missing_config_file_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_two(tmp_path, capsys, kind):
+    # each used to escape as an IsADirectoryError or UnicodeDecodeError traceback
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"seed": "\xff"}')
+    code, _ = run(tmp_path, "geometry-identities", "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: config file {str(path)!r}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_flag_overrides():
     cfg = load_config(None, {"seed": 99, "walkers": 12345, "grid": 128})
     assert cfg.seed == 99
@@ -472,6 +487,19 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, monkeypatch, caps
     assert code == 2
     assert err.startswith("config error: output directory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["report.json", "overlap_distance.csv"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, name):
+    # a directory where an output file goes used to escape as an
+    # IsADirectoryError traceback, a crash reported as a failed check
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main(["geometry-identities", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: output directory {str(out)!r}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_negative_seed_runs_solid_com(tmp_path):

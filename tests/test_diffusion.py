@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from statelab import (
-    DiffusionConfig, diffusion, RngStream, StateVector,
-    decompose_state, density_functional, embed_point,
-    fs_distance, inner_l2, random_superposition, random_unitary,
-    simulate_state_diffusion, solid_com_diffusion, verify_diffusion_pde,
+from statelab import diffusion
+from statelab.diffusion import (
+    DiffusionConfig, decompose_state, density_functional, random_superposition,
+    random_unitary, simulate_state_diffusion, solid_com_diffusion, verify_diffusion_pde,
 )
-from statelab.numerics import Grid, NumericalBreakdownError
+from statelab.geometry import embed_point, fs_distance
+from statelab.numerics import Grid, NumericalBreakdownError, RngStream, StateVector, inner_l2
 
 SIGMA = 0.5
 
@@ -81,32 +81,42 @@ def test_decompose_near_orthogonal_flag(grid, ks, lattice):
 
 # ------------------------------------------------------------- brownian
 
+def pde_fields(res):
+    return res.max_sup_residual, res.variances.tolist(), res.expected_variances.tolist()
+
+
 def test_epoch_steps_moments():
     c = cfg()
-    steps = diffusion._epoch_steps(c, stream(), 1)
-    assert len(steps) == 1 and steps[0].shape == (c.n_walkers,)
-    finals = steps[0]
+    res = verify_diffusion_pde(c, stream())
+    assert res.variances.shape == (diffusion._PDE_EPOCHS,)
+    assert res.variances[0] == pytest.approx(c.diffusion_sigma**2, rel=0.05)
+    # the first epoch's steps are the first column of one (n_walkers, epochs) draw
+    steps = stream().generator().standard_normal((c.n_walkers, diffusion._PDE_EPOCHS))
+    finals = np.ascontiguousarray(steps[:, 0] * c.diffusion_sigma)
+    assert np.var(finals) == res.variances[0]
     assert abs(finals.mean()) < 4 * c.diffusion_sigma / np.sqrt(c.n_walkers)
-    assert finals.var() == pytest.approx(c.diffusion_sigma**2, rel=0.05)
 
 
 def test_epoch_steps_deterministic():
-    a = diffusion._epoch_steps(cfg(), stream(seed=5), 1)
-    b = diffusion._epoch_steps(cfg(), stream(seed=5), 1)
-    assert np.array_equal(a, b)
-    c = diffusion._epoch_steps(cfg(), stream(seed=6), 1)
-    assert not np.allclose(a, c)
+    # verify_diffusion_pde draws its epoch steps from the stream alone
+    a = verify_diffusion_pde(cfg(), stream(seed=5))
+    assert pde_fields(verify_diffusion_pde(cfg(), stream(seed=5))) == pde_fields(a)
+    c = verify_diffusion_pde(cfg(), stream(seed=6))
+    assert not np.allclose(a.variances, c.variances, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("normals", [1, 7, 10**6])
 def test_epoch_steps_are_rows_of_one_draw(monkeypatch, normals):
     # chunks of one row, of 3 rows over 2 epochs, and the whole ensemble
-    # consume the stream as one (n_walkers, n_epochs) draw does
+    # consume the stream as one (n_walkers, epochs) draw does, and give the
+    # same PdeCheck to the bit
     c = cfg(n=1001)
-    want = stream(8).generator().standard_normal((1001, 2)) * c.diffusion_sigma
+    default = verify_diffusion_pde(c, stream(8))
+    steps = stream(8).generator().standard_normal((1001, diffusion._PDE_EPOCHS))
+    disp = np.cumsum(steps * c.diffusion_sigma, axis=1).T.copy()
+    assert default.variances.tolist() == [np.var(xs) for xs in disp]
     monkeypatch.setattr(diffusion, "_KICK_BUFFER_NORMALS", normals)
-    steps = diffusion._epoch_steps(c, stream(8), 2)
-    assert np.array_equal(np.column_stack(steps), want)
+    assert pde_fields(verify_diffusion_pde(c, stream(8))) == pde_fields(default)
 
 
 # ------------------------------------------------------------- born rule
@@ -291,7 +301,7 @@ def test_density_functional_ray_invariance(grid, ks, rng):
 # ------------------------------------------------------------- diffusion PDE
 
 def test_verify_diffusion_pde(grid):
-    res = verify_diffusion_pde(cfg(), stream(8), n_epochs=2)
+    res = verify_diffusion_pde(cfg(), stream(8))
     assert res.max_sup_residual < 0.03
     assert res.variances[0] == pytest.approx(res.expected_variances[0], rel=0.05)
     assert res.variances[1] == pytest.approx(res.expected_variances[1], rel=0.05)
@@ -300,16 +310,8 @@ def test_verify_diffusion_pde(grid):
 
 def test_verify_diffusion_pde_zero_epochs_degenerate():
     c = DiffusionConfig(1000, 1.0, 1e-12)
-    res = verify_diffusion_pde(c, RngStream(3, 9), n_epochs=1)
-    assert res.variances[0] < 1e-20     # all walkers stay in the start bin
-
-
-def test_epoch_count_must_be_positive():
-    # zero epochs would check nothing: an empty PdeCheck passes any bound
-    with pytest.raises(ValueError):
-        verify_diffusion_pde(cfg(n=1000), stream(8), n_epochs=0)
-    with pytest.raises(ValueError):
-        diffusion._epoch_steps(cfg(n=1000), stream(), 0)
+    res = verify_diffusion_pde(c, RngStream(3, 9))
+    assert res.variances.max() < 1e-20     # all walkers stay in the start bin
 
 
 # ------------------------------------------------------------- solid COM

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from statelab import (
-    GaussianParams, Grid, PhysicsParams, PotentialSpec, RngStream, StateVector,
-    anticommutator_identity_check, closed_form_decomposition,
-    constrained_motion_check, ehrenfest_check, expect_p, expect_x,
-    newton_integrate, projective_speed, propagate, realize,
-    velocity_decomposition, wavepacket_trajectory, quadrature, inner_l2,
-)
 import statelab.dynamics as dyn
 from statelab.cli import ExperimentConfig, run_dynamics
-from statelab.dynamics import packet_width_bound
+from statelab.dynamics import (
+    PhysicsParams, PotentialSpec, anticommutator_identity_check, apply_hamiltonian,
+    closed_form_decomposition, constrained_motion_check, ehrenfest_check, expect_p,
+    expect_x, newton_integrate, packet_width_bound, projective_speed, propagate,
+    velocity_decomposition, wavepacket_trajectory,
+)
+from statelab.geometry import GaussianParams, realize
+from statelab.numerics import Grid, RngStream, StateVector, inner_l2, quadrature
 
 SIGMA = 0.5
 
@@ -28,7 +28,6 @@ def free_packet_exact(grid, a, p, sigma, t, hbar=1.0, m=1.0):
 
 def test_free_packet_oracle_satisfies_schroedinger(grid, phys):
     # validate the oracle itself: centered time difference vs -(i/hbar) h psi
-    from statelab import apply_hamiltonian
     dt = 1e-5
     t0 = 0.3
     psi_m = free_packet_exact(grid, 0.0, 1.0, SIGMA, t0 - dt)
@@ -342,7 +341,7 @@ def test_constrained_motion_stationary(grid, phys):
 def test_wavepacket_trajectory_shape(grid, phys):
     psi = realize(GaussianParams(1.0, 0.0, SIGMA), grid)
     t, xs, ps, final = wavepacket_trajectory(psi, PotentialSpec.harmonic(1.0),
-                                             phys, 1.0, 1e-3, n_records=16)
+                                             phys, 1.0, 1e-3)
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.0)
     assert len(t) == len(xs) == len(ps)
     assert final.norm() == pytest.approx(1.0, abs=1e-10)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from statelab import (
-    GaussianParams, KernelSpace, StateVector,
-    completeness_rank, delta_path_projection, embed_point,
-    expect_p, fs_distance, fs_metric_restriction_check, gram_matrix, grid_delta,
-    h_norm_velocity, inner_l2, kernel_inner, realize,
+from statelab.dynamics import expect_p
+from statelab.geometry import (
+    GaussianParams, KernelSpace, _packet_directions, completeness_rank,
+    delta_path_projection, embed_point, fs_distance, fs_metric_restriction_check,
+    gram_matrix, grid_delta, h_norm_velocity, kernel_inner, realize,
 )
-from statelab.geometry import _packet_directions
+from statelab.numerics import Grid, StateVector, inner_l2
 
 SIGMA = 0.5
 EXP_HALF = 0.6065306597126334   # exp(-1/2), kernel value at separation 2 sigma
@@ -46,7 +46,6 @@ def test_kernel_space_rejects_bad_sigma(grid):
 
 
 def test_smoothing_composition_reproduces_kernel():
-    from statelab import Grid
     for n in (64, 256):
         g = Grid(n, -16.0, 16.0)
         ks = KernelSpace(g, SIGMA)

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statelab import GaussianParams, Grid, PotentialSpec, RngStream, realize
-from statelab.dynamics import (_linear_phase, _run_steps, expect_p, expect_x, newton_integrate,
-                               propagate)
-from statelab.numerics import StateVector, fft, ifft
+from statelab.dynamics import (PotentialSpec, _linear_phase, _run_steps, expect_p, expect_x,
+                               newton_integrate, propagate)
+from statelab.geometry import GaussianParams, realize
+from statelab.numerics import Grid, RngStream, StateVector, fft, ifft
 
 
 def test_fft_leaves_a_read_only_input_untouched(grid):

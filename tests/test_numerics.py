@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from statelab import (
-    Grid, RngStream, StateVector, inner_l2, quadrature,
-)
 from statelab.geometry import GaussianParams, realize
+from statelab.numerics import Grid, RngStream, StateVector, inner_l2, quadrature
 
 # Gaussian overlap for centers 0 and 1 at sigma = 0.5, from the closed form
 # exp(-(a-b)^2/(8 sigma^2)); re-derived by the quadrature oracle below.

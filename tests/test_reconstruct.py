@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from statelab import (
-    GaussianParams, Grid, OperatorTriple, PhysicsParams, PotentialSpec,
-    build_operators, constrained_motion_check, constraint_residuals,
-    kernel_of_constraints, propagate, realize, solve_hamiltonian,
-    wavepacket_trajectory,
+from statelab.dynamics import (
+    PhysicsParams, PotentialSpec, constrained_motion_check, propagate, wavepacket_trajectory,
 )
-from statelab.numerics import NumericalBreakdownError
-from statelab.reconstruct import constraint_laplacian, reference_hamiltonian
+from statelab.geometry import GaussianParams, realize
+from statelab.numerics import Grid, NumericalBreakdownError
+from statelab.reconstruct import (
+    OperatorTriple, build_operators, constraint_laplacian, constraint_residuals,
+    kernel_of_constraints, reference_hamiltonian, solve_hamiltonian,
+)
 
 
 def test_ladder_matrix_elements(phys):
@@ -189,8 +190,7 @@ def test_reconstructed_dynamics_matches_propagator(phys):
 
     g = Grid(512, -16.0, 16.0, True)
     psi = realize(GaussianParams(a0, 0.0, sigma_c), g)
-    t, xs_grid, _, _ = wavepacket_trajectory(psi, PotentialSpec.harmonic(k), phys,
-                                             1.0, 1e-3, n_records=8)
+    t, xs_grid, _, _ = wavepacket_trajectory(psi, PotentialSpec.harmonic(k), phys, 1.0, 1e-3)
     xs_interp = np.interp(times, t, xs_grid)
     assert np.max(np.abs(xs_matrix - xs_interp)) < 1e-3
 

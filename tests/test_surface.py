@@ -1,9 +1,12 @@
 """The library's public surface has callers in the package or the benchmark.
 
-Two checks over the sources, by ``ast``, with no import of the modules:
+Three checks over the sources, by ``ast``, with no import of the modules:
 
-- every name that ``statelab/__init__.py`` exports is used outside its own
-  definition in ``src/`` or ``perfbench/``;
+- ``statelab/__init__.py`` binds no public name (``__version__`` is not
+  one), so each name has one import path, its module;
+- every public module-level name of ``src/`` (a function, class or
+  assigned constant whose name has no leading underscore) is used outside
+  its own definition in ``src/`` or ``perfbench/``;
 - every defaulted parameter of a public function or method of ``src/`` is
   passed by some call there.
 
@@ -30,9 +33,6 @@ CALLERS = SOURCES + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
 DEFAULT_ONLY = {
     "diffusion.solid_com_diffusion.n_steps":
         "perfbench/tracing.py's solid_com_normals counter reads it by name",
-    "dynamics.constrained_motion_check.n_records":
-        "the function is perfbench's route to the constrained-motion checks, "
-        "which passes dt only",
 }
 
 
@@ -41,9 +41,20 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _exports() -> list[str]:
-    return [alias.asname or alias.name for node in _tree(PACKAGE / "__init__.py").body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
+def _bound(path: Path, imports: bool = True) -> list[str]:
+    """The names that the top level of a module binds; with imports=False,
+    only those it defines: functions, classes and assigned constants."""
+    names = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+    return names
 
 
 def _annotation_nodes(tree: ast.AST) -> set[int]:
@@ -70,6 +81,8 @@ def _used(names: set[str]) -> set[str]:
         own = {node.name: {id(n) for n in ast.walk(node)} for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
         for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue   # an assignment binds the name, it does not use it
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute) else None)
             if name in names and id(node) not in skip and id(node) not in own.get(name, ()):
@@ -131,11 +144,18 @@ def _passed() -> dict[str, set]:
     return passed
 
 
+def test_init_binds_no_public_name():
+    public = [name for name in _bound(PACKAGE / "__init__.py") if not name.startswith("_")]
+    assert not public, f"statelab/__init__.py binds {public}; import them from their modules"
+
+
 def test_every_export_has_a_caller():
-    exports = _exports()
-    used = _used(set(exports))
-    unused = [name for name in exports if name not in used]
-    assert not unused, f"exported but unused in src/ and perfbench/: {unused}"
+    # a module's exports: the public names it defines
+    exports = [(path.stem, name) for path in SOURCES
+               for name in _bound(path, imports=False) if not name.startswith("_")]
+    used = _used({name for _, name in exports})
+    unused = [f"{module}.{name}" for module, name in exports if name not in used]
+    assert not unused, f"public but unused in src/ and perfbench/: {unused}"
 
 
 def test_every_default_is_passed_somewhere():
