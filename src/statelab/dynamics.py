@@ -59,13 +59,15 @@ def _polynomial(coeffs, u):
 class PotentialSpec:
     """Potential V(x), optionally with reproducible per-step noise.
 
-    V is the polynomial sum_k coeffs[k] (x - center)^k or, when samples is
-    given, the tabulated grid values (coeffs and center are then unused).
-    Potentials compare and hash by value: trailing zero coefficients are
-    dropped and samples are held as a tuple.  With a noise stream, a random
-    linear slope of standard deviation noise_std is added, redrawn each
-    propagation step from the stream, so stochastic runs stay
-    piecewise-unitary and bit-reproducible.
+    V is the polynomial sum_k coeffs[k] (x - center)^k, evaluated by
+    value_at.  Potentials compare and hash by value: trailing zero
+    coefficients are dropped.  With a noise stream, a random linear slope of
+    standard deviation noise_std is added, redrawn each propagation step
+    from the stream, so stochastic runs stay piecewise-unitary and
+    bit-reproducible.
+
+    samples, built by tabulated, holds grid values that only values() reads;
+    value_at refuses them.
     """
 
     coeffs: tuple = (0.0,)
@@ -94,6 +96,8 @@ class PotentialSpec:
     def harmonic(cls, stiffness: float, center: float = 0.0) -> "PotentialSpec":
         return cls((0.0, 0.0, 0.5 * float(stiffness)), float(center))
 
+    # src/ builds none; kept, with samples and the grid branch of values,
+    # because perfbench/workloads.py passes one to ehrenfest_check
     @classmethod
     def tabulated(cls, samples: np.ndarray) -> "PotentialSpec":
         return cls(samples=tuple(np.asarray(samples, dtype=float).tolist()))
@@ -115,7 +119,7 @@ class PotentialSpec:
         or 2, sampled on the grid; tabulated samples are differentiated
         spectrally."""
         if self.samples is None:
-            return _polynomial(self._derivatives[order], grid.x - self.center)
+            return self.value_at(grid.x, order)
         if len(self.samples) != grid.n_points:
             raise ValueError("tabulated potential does not match the grid")
         v = np.array(self.samples)
@@ -125,15 +129,12 @@ class PotentialSpec:
             return spectral_derivative(StateVector(grid, v), order=order).values.real
         return v
 
-    def value_at(self, x, grid: Optional[Grid] = None, order: int = 0):
-        """V or its derivative of order 1 or 2 at the points x; tabulated
-        potentials interpolate their grid values and need the grid."""
-        if self.samples is None:
-            return _polynomial(self._derivatives[order],
-                               np.asarray(x, dtype=float) - self.center)
-        if grid is None:
-            raise ValueError("tabulated potential needs the grid for point evaluation")
-        return np.interp(x, grid.x, self.values(grid, order))
+    def value_at(self, x, order: int = 0):
+        """V or its derivative of order 1 or 2 at x, a float or an ndarray;
+        a float stays a Python float, so the leapfrog runs on floats."""
+        if self.samples is not None:
+            raise ValueError("tabulated potential has no point evaluation")
+        return _polynomial(self._derivatives[order], x - self.center)
 
     def noise_slopes(self, n_steps: int) -> np.ndarray:
         if self.noise_stream is None:
@@ -299,34 +300,25 @@ def wavepacket_trajectory(psi: StateVector, V: PotentialSpec, phys: PhysicsParam
 
 
 def newton_integrate(a0: float, p0: float, V: PotentialSpec, phys: PhysicsParams,
-                     t_final: float, dt: float, grid: Optional[Grid] = None):
+                     t_final: float, dt: float):
     """Leapfrog (kick-drift-kick) trajectory; symplectic and time-reversible.
 
     Returns (times, positions, momenta) including the initial point.  Noisy
     potentials contribute the same per-step random slopes the propagator
     uses (piecewise-constant force), so packet and point see one noise
-    realization.  The steps run on Python floats: a polynomial V' goes
-    through the same evaluator as value_at, and a tabulated one interpolates
-    a V' table built once per call.
+    realization.  The steps run on Python floats, with V' from value_at,
+    which refuses a tabulated V.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
     slopes = V.noise_slopes(n_steps).tolist()
-    if V.samples is None:
-        d1, center = V._derivatives[1], V.center
-        vprime = lambda x: _polynomial(d1, x - center)
-    else:
-        if grid is None:
-            raise ValueError("tabulated potential needs the grid for point evaluation")
-        xs, table = grid.x, V.values(grid, order=1)
-        vprime = lambda x: float(np.interp(x, xs, table))
     a, p = [float(a0)], [float(p0)]
     for s in range(n_steps):
-        p_half = p[s] + 0.5 * dt_eff * (-vprime(a[s]) - slopes[s])
+        p_half = p[s] + 0.5 * dt_eff * (-V.value_at(a[s], 1) - slopes[s])
         a.append(a[s] + dt_eff * p_half / phys.mass)
-        p.append(p_half + 0.5 * dt_eff * (-vprime(a[s + 1]) - slopes[s]))
+        p.append(p_half + 0.5 * dt_eff * (-V.value_at(a[s + 1], 1) - slopes[s]))
     return dt_eff * np.arange(n_steps + 1), np.array(a), np.array(p)
 
 
@@ -346,7 +338,7 @@ def packet_width_bound(t, sigma: float, V: PotentialSpec, phys: PhysicsParams) -
     t = np.asarray(t, dtype=float)
     free = sigma * np.sqrt(1.0 + (phys.hbar * t / (2.0 * phys.mass * sigma**2)) ** 2)
     c = V.coeffs
-    if V.samples is None and len(c) == 3 and c[2] > 0:
+    if len(c) == 3 and c[2] > 0:
         omega = np.sqrt(2.0 * c[2] / phys.mass)
         return np.minimum(free, max(sigma, phys.hbar / (2.0 * phys.mass * omega * sigma)))
     return free
@@ -365,7 +357,6 @@ class VelocityDecomposition:
     momentum_component: float
     spread_component: float
     total_norm: float
-    linearity_ok: bool
 
     @property
     def component_sum_sq(self) -> float:
@@ -373,12 +364,12 @@ class VelocityDecomposition:
                 + self.momentum_component ** 2 + self.spread_component ** 2)
 
 
-def linearity_flag(q: GaussianParams, V: PotentialSpec,
-                   grid: Optional[Grid] = None) -> bool:
+def linearity_flag(q: GaussianParams, V: PotentialSpec) -> bool:
     """True when V is effectively linear across the packet width at q.a:
-    |V''| sigma stays under 5% of |V'|."""
-    v1 = abs(float(V.value_at(q.a, grid, order=1)))
-    v2 = abs(float(V.value_at(q.a, grid, order=2)))
+    |V''| sigma stays under 5% of |V'|, the regime where
+    closed_form_decomposition holds."""
+    v1 = abs(V.value_at(q.a, 1))
+    v2 = abs(V.value_at(q.a, 2))
     return v2 * q.sigma / max(v1, 1e-6) < 0.05
 
 
@@ -387,9 +378,9 @@ def velocity_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsPar
     """Project d(phi)/dt = -(i/hbar) h phi onto the fibre, position, momentum
     and spreading unit directions at the packet realize(q).
 
-    The projections are Riemannian (real parts of L2 inner products).  A
-    violated potential-linearity precondition only clears linearity_ok; the
-    computed projections are still returned.
+    The projections are Riemannian (real parts of L2 inner products), and
+    they hold for every V; linearity_flag tells whether the closed forms
+    of closed_form_decomposition apply at q.
     """
     phi, pos_dir, mom_dir, sp_dir = _packet_directions(q, grid, phys.hbar)
     hphi = apply_hamiltonian(phi, V, phys)
@@ -406,22 +397,23 @@ def velocity_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsPar
     return VelocityDecomposition(
         fibre_component=float(fibre), position_component=float(pos),
         momentum_component=float(mom), spread_component=float(spread),
-        total_norm=total, linearity_ok=linearity_flag(q, V, grid))
+        total_norm=total)
 
 
 def closed_form_decomposition(q: GaussianParams, V: PotentialSpec, phys: PhysicsParams,
                               grid: Optional[Grid] = None) -> VelocityDecomposition:
     """Closed forms of the four components in the potential-linearity regime:
     Ebar/hbar, v/(2 sigma), m w sigma/hbar with m w = -V'(a), and
-    sqrt(2) hbar/(8 sigma^2 m)."""
+    sqrt(2) hbar/(8 sigma^2 m).  grid is unread, and kept because
+    perfbench/workloads.py passes it."""
     hbar, m, s = phys.hbar, phys.mass, q.sigma
     v = q.p / m
-    w = -float(V.value_at(q.a, grid, order=1)) / m
-    e_bar = q.p ** 2 / (2 * m) + hbar ** 2 / (8 * m * s ** 2) + float(V.value_at(q.a, grid))
+    w = -V.value_at(q.a, 1) / m
+    e_bar = q.p ** 2 / (2 * m) + hbar ** 2 / (8 * m * s ** 2) + V.value_at(q.a)
     comps = np.array([e_bar / hbar, v / (2 * s), m * w * s / hbar,
                       np.sqrt(2.0) * hbar / (8 * s ** 2 * m)])
     total = float(np.sqrt(np.sum(comps[1:] ** 2) + comps[0] ** 2))
-    return VelocityDecomposition(*comps, total, linearity_flag(q, V, grid))
+    return VelocityDecomposition(*comps, total)
 
 
 def projective_speed(psi: StateVector, V: PotentialSpec, phys: PhysicsParams):
@@ -489,7 +481,7 @@ def _paired_trajectories(q0: GaussianParams, V: PotentialSpec, phys: PhysicsPara
     t, xs, ps, _ = wavepacket_trajectory(psi, V, phys, t_final, dt)
     n_steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / n_steps
-    _, aa, pp = newton or newton_integrate(q0.a, q0.p, V, phys, t_final, dt_eff, grid)
+    _, aa, pp = newton or newton_integrate(q0.a, q0.p, V, phys, t_final, dt_eff)
     idx = np.rint(t / dt_eff).astype(int)
     return t, xs, ps, aa[idx], pp[idx]
 

@@ -6,8 +6,8 @@ from statelab.cli import ExperimentConfig, run_dynamics
 from statelab.dynamics import (
     PhysicsParams, PotentialSpec, anticommutator_identity_check, apply_hamiltonian,
     closed_form_decomposition, constrained_motion_check, ehrenfest_check, expect_p,
-    expect_x, newton_integrate, packet_width_bound, projective_speed, propagate,
-    velocity_decomposition, wavepacket_trajectory,
+    expect_x, linearity_flag, newton_integrate, packet_width_bound, projective_speed,
+    propagate, velocity_decomposition, wavepacket_trajectory,
 )
 from statelab.geometry import GaussianParams, realize
 from statelab.numerics import Grid, RngStream, StateVector, inner_l2, quadrature
@@ -150,7 +150,7 @@ def analytic_h_phi(grid, q, V, phys):
     phi = (2 * np.pi * s**2) ** -0.25 * np.exp(-u**2 / (4 * s**2) + 1j * q.p * u / hbar)
     coef = (hbar**2 / (4 * m * s**2) - hbar**2 * u**2 / (8 * m * s**4)
             + 1j * hbar * q.p * u / (2 * m * s**2) + q.p**2 / (2 * m)
-            + V.value_at(x, grid))
+            + V.value_at(x))
     return phi, coef * phi
 
 
@@ -187,7 +187,7 @@ def test_velocity_decomposition_free_values(grid, phys):
     assert d.spread_component == pytest.approx(np.sqrt(2) / 2, abs=1e-3)
     assert d.fibre_component == pytest.approx(1.0, abs=1e-3)
     assert d.total_norm**2 == pytest.approx(2.5, abs=1e-3)
-    assert d.linearity_ok
+    assert linearity_flag(q, PotentialSpec.free())
 
     orc = oracle_decomposition(grid, q, PotentialSpec.free(), phys)
     assert d.fibre_component == pytest.approx(orc["fibre"], abs=1e-9)
@@ -224,9 +224,9 @@ def test_velocity_decomposition_closure(grid, phys, rng):
 
 def test_velocity_decomposition_linearity_flag(grid, phys):
     # steep curvature relative to slope at the packet: flag clears, no failure
-    d = velocity_decomposition(GaussianParams(0.0, 0.0, SIGMA),
-                               PotentialSpec.harmonic(1.0), phys, grid)
-    assert not d.linearity_ok
+    q, V = GaussianParams(0.0, 0.0, SIGMA), PotentialSpec.harmonic(1.0)
+    d = velocity_decomposition(q, V, phys, grid)
+    assert not linearity_flag(q, V)
     assert np.isfinite(d.total_norm)
 
 
