@@ -5,7 +5,9 @@ each walker picks a component with probability given by its squared
 coefficient, starts at that component's center, and random-walks for the
 observation time.  The stationary arrival statistics reproduce |psi(a)|^2,
 the transition density depends only on the Fubini-Study distance, and the
-center-of-mass diffusion of an n-cell solid is suppressed as 1/n.  Two
+center-of-mass diffusion of an n-cell solid is suppressed as 1/n: each cell
+takes one Gaussian kick of the whole horizon's variance, and the center of
+mass moves by the mean of the n kicks.  Two
 tests at a stated false-alarm rate judge several ensembles at once: a
 Pearson chi^2 of the component counts and one Kolmogorov-Smirnov test of the
 pooled arrivals, each mapped through its own component's law.
@@ -20,6 +22,7 @@ thread per available core (_pool), each on its own stream.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -399,8 +402,9 @@ def _waiter() -> ThreadPoolExecutor:
 def _block_generator(stream: RngStream) -> np.random.Generator:
     """SFC64 keyed by the stream's (master_seed, stream_id), masked to 64 bits
     as RngStream.generator masks them (SeedSequence rejects negative entropy).
-    SFC64 draws a normal in about 2/3 of Philox's time, and solid-com's kicks
-    are nearly all of the lab's draws; every other stream stays Philox."""
+    SFC64 draws a normal in about 2/3 of Philox's time, and solid-com's kicks,
+    one normal per walker and cell over the whole horizon, are most of the
+    lab's draws; every other stream stays Philox."""
     mask = 2**64 - 1
     seq = np.random.SeedSequence(stream.master_seed & mask,
                                  spawn_key=(stream.stream_id & mask,))
@@ -411,8 +415,11 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
                         stream: RngStream, n_steps: int = 8) -> float:
     """Estimated center-of-mass diffusion coefficient of an n-cell solid.
 
-    Every cell receives an independent Gaussian kick each step; the COM moves
-    by the mean kick (equal masses).  The estimate is Var(total displacement)
+    Every cell receives one independent Gaussian kick over the n_steps * tau
+    horizon, of std kick_std * sqrt(n_steps): the sum of n_steps iid
+    N(0, kick_std^2) steps has exactly that law.  The COM moves by the mean of
+    the n_cells kicks (equal masses), each drawn on its own, never as one
+    N(0, 1/n_cells) draw.  The estimate is Var(displacement)
     / (2 * n_steps * tau); it scales as 1/n_cells.
 
     The walkers are split into _BLOCKS blocks (np.array_split sizes); block b
@@ -433,16 +440,16 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
     def block(b: int, size: int) -> np.ndarray:
         rng = _block_generator(stream.child(b))
         buf = np.empty((min(rows, size), n_cells))
-        disp = np.zeros(size)
-        for _ in range(n_steps):
-            for i0 in range(0, size, rows):
-                kicks = rng.standard_normal(out=buf[:size - i0])
-                disp[i0:i0 + len(kicks)] += kick_std * kicks.mean(axis=1)
+        disp = np.empty(size)
+        for i0 in range(0, size, rows):
+            kicks = rng.standard_normal(out=buf[:size - i0])
+            kicks.mean(axis=1, out=disp[i0:i0 + len(kicks)])
         return disp
 
     q, r = divmod(cfg.n_walkers, _BLOCKS)
     sizes = [q + (b < r) for b in range(_BLOCKS)]
     disp = np.concatenate(list(_pool().map(block, range(_BLOCKS), sizes)))
+    disp *= kick_std * math.sqrt(n_steps)
     return float(np.var(disp) / (2.0 * n_steps * cfg.tau))
 
 

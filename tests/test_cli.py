@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from statelab import diffusion as diff
 from statelab.cli import (
     DEFAULT_CONFIG, SCHEMA, SECTIONS, ExperimentConfig, ValidationError, _check_born_width,
-    _seam_horizon, load_config, main, run_born_diffusion,
+    _seam_horizon, load_config, main, run_born_diffusion, run_solid_com,
 )
 from statelab.diffusion import random_superposition
 from statelab.dynamics import PotentialSpec, newton_integrate, packet_width_bound
@@ -136,6 +137,27 @@ def test_com_ratios_do_not_depend_on_tau(tmp_path):
         tables[tau] = np.loadtxt(out / "solid_scaling.csv", delimiter=",", skiprows=1)
     assert tables[1e300][0, 2] == 1.0
     assert np.allclose(tables[1e300][:, 2], tables[1.0][:, 2], rtol=1e-12, atol=0.0)
+
+
+def _solid_com_failures() -> list[str]:
+    return [c.name for c in run_solid_com(load_config(None, {})).checks if not c.passed]
+
+
+# diffusion's only use of math is the sqrt(n_steps) fold of the kicks over the
+# horizon; dropping it, or taking n_steps for its root, scales every k_n alike
+@pytest.mark.parametrize("fold", [lambda n: 1.0, lambda n: n], ids=["dropped", "unrooted"])
+def test_com_single_cell_check_catches_a_wrong_fold(monkeypatch, fold):
+    monkeypatch.setattr(diff, "math", types.SimpleNamespace(sqrt=fold))
+    assert _solid_com_failures() == ["com-suppression-n1"]
+
+
+def test_com_single_cell_check_catches_a_scaled_kick(monkeypatch):
+    # a kick 1.2 times the configured width in every solid cancels in the ratios
+    true_com = diff.solid_com_diffusion
+    monkeypatch.setattr(diff, "solid_com_diffusion",
+                        lambda n_cells, kick_std, cfg, stream:
+                        true_com(n_cells, 1.2 * kick_std, cfg, stream))
+    assert _solid_com_failures() == ["com-suppression-n1"]
 
 
 def test_report_overall_flag_is_conjunction(tmp_path):
@@ -504,7 +526,7 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, name):
 
 def test_negative_seed_runs_solid_com(tmp_path):
     # the solid-com block generators mask the seed to 64 bits, as RngStream does
-    code, out = run(tmp_path, "solid-com", "--seed", "-5", "--walkers", "2000")
+    code, out = run(tmp_path, "solid-com", "--seed", "-5")
     assert code == 0
     assert (out / "solid_scaling.csv").exists()
 
@@ -601,7 +623,7 @@ def test_born_width_within_round_off_is_accepted():
 @pytest.mark.parametrize("subcommand", ["solid-com", "geometry-identities"])
 def test_other_subcommands_accept_any_diffusion_width(tmp_path, subcommand):
     cfgp = write_config(tmp_path, {"diffusion": {"diffusion_sigma": 5.0}})
-    code, out = run(tmp_path, subcommand, "--config", cfgp, "--walkers", "2000")
+    code, out = run(tmp_path, subcommand, "--config", cfgp)
     assert code == 0
     assert (out / "report.json").exists()
 

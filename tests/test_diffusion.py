@@ -316,9 +316,12 @@ def test_verify_diffusion_pde_zero_epochs_degenerate():
 
 # ------------------------------------------------------------- solid COM
 
-def test_solid_single_cell_matches_brownian():
+@pytest.mark.parametrize("n_steps", [1, 4, 8])
+def test_solid_single_cell_matches_brownian(n_steps):
+    # the n_steps kicks fold into one draw of std kick * sqrt(n_steps), and the
+    # estimate divides by the n_steps * tau horizon
     c = cfg()
-    k1 = solid_com_diffusion(1, c.diffusion_sigma, c, stream(10), n_steps=4)
+    k1 = solid_com_diffusion(1, c.diffusion_sigma, c, stream(10), n_steps=n_steps)
     expected = c.diffusion_sigma**2 / (2 * c.tau)
     assert k1 == pytest.approx(expected, rel=0.05)
 
