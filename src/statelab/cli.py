@@ -8,9 +8,9 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 config error (also a
 config too large to validate in memory), 3 numerical breakdown, 4 section
 error (any other exception).  A section that raises leaves a failing
 ``section-error`` check, the other sections are still written, and the exit
-code is the largest any section produced.  ``all`` runs solid-com on
-diffusion's waiter thread and the other sections in order on the calling
-thread; only the walker ensembles run in parallel, on diffusion's one pool.
+code is the largest any section produced.  ``all`` runs every section but
+solid-com in order on the calling thread; solid-com and born-diffusion's
+walker ensembles run beside it as diffusion._start jobs.
 """
 
 from __future__ import annotations
@@ -183,6 +183,18 @@ class ExperimentConfig:
                 "grid must span more than 36 kernel widths: born-diffusion places up to "
                 "5 centers 6 sigma apart inside 6 sigma margins")
         self.potential = _potential_from_config(merged["potential"], self.seed)
+        # dynamics-checks divides by the squared velocity norm of a free packet
+        # at rest, about 3 e^2 for its spreading energy e; past the smallest
+        # normal float that square loses its digits and then becomes 0
+        # (products, not **, which raises OverflowError where * gives inf)
+        r = self.physics.hbar / sigma
+        e = r * r / (8.0 * self.physics.mass)
+        if e * e < sys.float_info.min:
+            raise ValidationError(
+                f"physics.mass {self.physics.mass!r} is too large for physics.hbar "
+                f"{self.physics.hbar!r} and kernel.sigma {sigma!r}: the packet's spreading "
+                f"energy hbar^2 / (8 mass sigma^2) = {e:.3g} squares below the smallest "
+                "normal float")
         # measured on the default cell: geometry passes to dx = 0.94 sigma, and
         # the free-packet checks of dynamics (width 0.5) fail near dx = 0.7;
         # a spacing above 0.9 x 0.5, which no width admits, is rejected before
@@ -516,8 +528,12 @@ def run_reconstruct(cfg: ExperimentConfig) -> Report:
 _BORN_ALPHA = 0.005
 
 
-def run_born_diffusion(cfg: ExperimentConfig) -> Report:
-    rep = Report("born-diffusion", cfg.echo)
+def _born_ensembles(cfg: ExperimentConfig) -> list:
+    """born-diffusion's 13 walker ensembles, each on its own stream: the
+    single- and two-component states, the PDE march and 10 random
+    superpositions.  The first three return only what their checks read and
+    come first, so their walker arrays are freed before the superpositions'
+    KS samples pile up."""
     ks, dcfg = cfg.kernel, cfg.diffusion
 
     def superposition(case: int):
@@ -538,15 +554,18 @@ def run_born_diffusion(cfg: ExperimentConfig) -> Report:
         est = diff.simulate_state_diffusion(psi, dcfg, cfg.stream(19), ks, dec)
         return float(est.component_masses[0]), float(est.expected_weights[0])
 
-    # single- and two-component states, the PDE march and 10 random
-    # superpositions: independent ensembles, each on its own stream.  The
-    # first three return only what their checks read and run first, so their
-    # walker arrays are freed before the superpositions' KS samples pile up.
-    jobs = [single_component_l1, two_component_split,
+    return [single_component_l1, two_component_split,
             functools.partial(diff.verify_diffusion_pde, dcfg, cfg.stream(13)),
             *(functools.partial(superposition, case) for case in range(10))]
-    pool = diff._pool()
-    futures = [pool.submit(job) for job in jobs]
+
+
+def run_born_diffusion(cfg: ExperimentConfig, ensembles=None) -> Report:
+    """The Born statistics of state diffusion and the transition density.
+    ensembles is the collector of _born_ensembles(cfg) started by
+    diffusion._start; by default the section starts them itself."""
+    rep = Report("born-diffusion", cfg.echo)
+    ks = cfg.kernel
+    collect = ensembles or diff._start(_born_ensembles(cfg))
 
     # meanwhile on this thread, the transition density: exchange
     # symmetry and unitary invariance
@@ -564,7 +583,7 @@ def run_born_diffusion(cfg: ExperimentConfig) -> Report:
         ua, ub = (StateVector(agrid, v) for v in np.stack([fa.values, fb.values]) @ U.T)
         worst_inv = max(worst_inv, abs(diff.density_functional(ua, ub, ks.sigma) - d_ab))
 
-    l1_single, (mass_two, weight_two), pde, *cases = [f.result() for f in futures]
+    l1_single, (mass_two, weight_two), pde, *cases = collect()
 
     rep.add(check_upper("pde-heat-kernel-sup-residual", pde.max_sup_residual, 0.03))
     var_dev = float(np.max(np.abs(pde.variances / pde.expected_variances - 1.0)))
@@ -643,12 +662,12 @@ SECTIONS = {
 _ERROR_CODES = ((ValidationError, 2), (NumericalBreakdownError, 3))
 
 
-def _run_section(name: str, cfg: ExperimentConfig) -> tuple[Report, int]:
-    """One section and its exit code.  An exception becomes a failing
-    ``section-error`` check and a one-line message, so the run's other
-    sections are still reported."""
+def _run_section(name: str, cfg: ExperimentConfig, section=None) -> tuple[Report, int]:
+    """One section, SECTIONS[name] unless section is given, and its exit
+    code.  An exception becomes a failing ``section-error`` check and a
+    one-line message, so the run's other sections are still reported."""
     try:
-        return SECTIONS[name](cfg), 0
+        return (section or SECTIONS[name])(cfg), 0
     except Exception as exc:
         code = next((c for kind, c in _ERROR_CODES if isinstance(exc, kind)), 4)
         msg = f"{type(exc).__name__}: {exc}"
@@ -657,16 +676,23 @@ def _run_section(name: str, cfg: ExperimentConfig) -> tuple[Report, int]:
 
 
 def run_all(cfg: ExperimentConfig) -> tuple[Report, int]:
-    """Every section, joined in SECTIONS order.  solid-com starts first, on
-    diffusion's waiter thread, where it only submits its walker blocks to
-    diffusion's pool and waits for them; so the blocks fill the cores while
-    the other sections run in order on the calling thread, and its result is
-    read last.  Only the walker ensembles of born-diffusion and solid-com
-    run in parallel; no output depends on the core count, since each
+    """Every section, joined in SECTIONS order.  Before the first section,
+    born-diffusion's 13 walker ensembles and then the whole solid-com
+    section start as diffusion._start jobs, so the executor's threads draw
+    walkers while the calling thread runs geometry, dynamics, reconstruct and
+    born-diffusion's own part: the transition density and the checks.  Those
+    hold the interpreter lock, so they stay on the calling thread; on a
+    second thread they would only contend for it.  born-diffusion's
+    collector, and then solid-com's, run on the calling thread whatever job
+    no thread has begun.  No output depends on the core count, since each
     ensemble draws from its own stream."""
-    early = diff._waiter().submit(_run_section, "solid-com", cfg)
-    results = {name: _run_section(name, cfg) for name in SECTIONS if name != "solid-com"}
-    results["solid-com"] = early.result()
+    ensembles = diff._start(_born_ensembles(cfg))
+    solid = diff._start([functools.partial(_run_section, "solid-com", cfg)])
+    results = {name: _run_section(name, cfg)
+               for name in ("geometry-identities", "dynamics-checks", "reconstruct")}
+    results["born-diffusion"] = _run_section(
+        "born-diffusion", cfg, functools.partial(run_born_diffusion, ensembles=ensembles))
+    [results["solid-com"]] = solid()
     rep = Report("all", cfg.echo)
     for name in SECTIONS:
         sub, _ = results[name]

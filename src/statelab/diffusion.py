@@ -15,8 +15,10 @@ pooled arrivals, each mapped through its own component's law.
 Walkers are drawn, binned and mapped in fixed chunks, so an ensemble keeps
 one walker-length array, its sorted KS sample (8 bytes a walker), and its
 other buffers do not grow with the walker count.  The ensembles are
-statelab's only parallel work; they run on one process-wide pool of one
-thread per available core (_pool), each on its own stream.
+statelab's only parallel work, each on its own stream: _start submits a
+list of them to one process-wide executor of one thread fewer than the
+available cores, and its collector runs on the calling thread every job
+that no thread has begun.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -370,33 +372,47 @@ def verify_diffusion_pde(cfg: DiffusionConfig, stream: RngStream) -> PdeCheck:
 _BLOCKS = 8
 
 
-@functools.cache
-def _executor(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="statelab-walkers")
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The process-wide pool of one thread per available core, which runs
-    statelab's walker ensembles: born-diffusion's 13 and solid-com's blocks.
-    Its callers, the calling thread and _waiter's thread, submit independent
-    jobs, each on its own stream, and read the results in submission order,
-    so no result depends on the thread count.  Only leaf jobs run on it: no
-    job submits to the pool or waits on one of its futures, so no wait is
-    nested and a full pool cannot deadlock.  Its threads live as long as the
-    process; nothing in statelab forks, which would leave a child a pool
-    without threads."""
-    return _executor(len(os.sched_getaffinity(0)))
+# the executor's thread names start with it; tests/test_threads.py tells
+# those threads apart by it
+_THREAD_NAME_PREFIX = "statelab-walkers"
 
 
 @functools.cache
-def _waiter() -> ThreadPoolExecutor:
-    """The process-wide thread on which ``cli.run_all`` runs solid-com while
-    the other sections run on the calling thread.  solid-com's own thread only
-    submits walker blocks to _pool, waits for them and joins them, so this
-    thread spends almost no CPU.  It must not be _pool: on one core
-    _executor(1) is the pool, whose one worker would then wait on blocks
-    queued behind itself."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="statelab-waiter")
+def _executor(workers: int) -> ThreadPoolExecutor | None:
+    return (ThreadPoolExecutor(max_workers=workers, thread_name_prefix=_THREAD_NAME_PREFIX)
+            if workers else None)
+
+
+def _start(jobs):
+    """Start the zero-argument callables jobs and return collect().
+
+    Each job is submitted to one process-wide executor of one thread fewer
+    than the available cores (none on one core), because the calling thread
+    works too: collect() claims, in submission order, every job that no
+    thread has begun and runs it on the calling thread, then waits only for
+    the jobs already running.  It returns the results in submission order,
+    or raises the first exception in that order once every job has ended.
+    No collect waits on a job that has not started, so a job may start and
+    collect jobs of its own, and no thread count deadlocks.  Jobs must be
+    independent, each on its own stream, so no result depends on the thread
+    count.  The threads live as long as the process; nothing in statelab
+    forks, which would leave a child an executor without threads."""
+    jobs = list(jobs)
+    pool = _executor(len(os.sched_getaffinity(0)) - 1)
+    futures = [pool.submit(job) if pool else None for job in jobs]
+
+    def collect() -> list:
+        for i, job in enumerate(jobs):
+            if futures[i] is None or futures[i].cancel():
+                futures[i] = Future()
+                try:
+                    futures[i].set_result(job())
+                except Exception as exc:
+                    futures[i].set_exception(exc)
+        wait(futures)
+        return [f.result() for f in futures]
+
+    return collect
 
 
 def _block_generator(stream: RngStream) -> np.random.Generator:
@@ -423,12 +439,13 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
     / (2 * n_steps * tau); it scales as 1/n_cells.
 
     The walkers are split into _BLOCKS blocks (np.array_split sizes); block b
-    draws from an SFC64 generator keyed by stream.child(b), and the
-    blocks run on the process-wide _pool.  Each block reuses one kick buffer of
-    _KICK_BUFFER_NORMALS normals (at least one row), so memory stays flat as
-    walkers x cells grow.  The fills and row means release the GIL, and the
-    displacements are joined in block order, so the estimate is the same for
-    every thread count.
+    draws from an SFC64 generator keyed by stream.child(b).  The blocks are
+    _start's jobs: the executor's threads run some, and the calling thread
+    runs every block none of them has begun.  Each block reuses one kick
+    buffer of _KICK_BUFFER_NORMALS normals (at least one row), so memory
+    stays flat as walkers x cells grow.  The fills and row means release the
+    GIL, and the displacements are joined in block order, so the estimate is
+    the same for every thread count.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
@@ -448,7 +465,8 @@ def solid_com_diffusion(n_cells: int, kick_std: float, cfg: DiffusionConfig,
 
     q, r = divmod(cfg.n_walkers, _BLOCKS)
     sizes = [q + (b < r) for b in range(_BLOCKS)]
-    disp = np.concatenate(list(_pool().map(block, range(_BLOCKS), sizes)))
+    disp = np.concatenate(_start(functools.partial(block, b, size)
+                                 for b, size in enumerate(sizes))())
     disp *= kick_std * math.sqrt(n_steps)
     return float(np.var(disp) / (2.0 * n_steps * cfg.tau))
 

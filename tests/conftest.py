@@ -52,3 +52,22 @@ def mixture_ks():
                        for b, w in zip(centers, weights))
         return stats.kstest(arrivals, cdf).statistic
     return statistic
+
+
+@pytest.fixture()
+def affinity(monkeypatch):
+    """affinity(cores) pins the cores that diffusion._start reads and returns
+    the list of executor thread counts that _start asks for from then on."""
+    sizes = []
+    executor = diffusion._executor
+
+    def spy(workers):
+        sizes.append(workers)
+        return executor(workers)
+    monkeypatch.setattr(diffusion, "_executor", spy)
+
+    def pin(cores):
+        monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: set(cores))
+        sizes.clear()
+        return sizes
+    return pin

@@ -268,18 +268,16 @@ def test_oversized_grid_is_a_config_error(tmp_path, argv):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_all_is_thread_count_invariant(tmp_path, monkeypatch):
-    # the walker pool takes one thread per available core, so one core and
-    # two give the same files; exit 1 is allowed: the statistical bounds are
-    # pinned at 1e5 walkers.  solid-com waits for its blocks on its own
-    # thread, never on the pool's one worker
+def test_all_is_thread_count_invariant(tmp_path, affinity):
+    # the walker jobs run on cores - 1 executor threads and the caller, so
+    # one, two and three cores give the same files; exit 1 is allowed: the
+    # statistical bounds are pinned at 1e5 walkers
     outs = []
-    for cores in ({0}, {0, 1}):
-        monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
-        assert diff._pool()._max_workers == len(cores)
-        assert diff._waiter() is not diff._pool()
+    for cores in ({0}, {0, 1}, {0, 1, 2}):
+        sizes = affinity(cores)
         code, out = run(tmp_path / str(len(cores)), "all", "--walkers", "2000")
         assert code in (0, 1)
+        assert set(sizes) == {len(cores) - 1}
         outs.append(out)
     files = sorted(p.name for p in outs[0].iterdir())
     assert "report.json" in files and "trajectory.csv" in files
@@ -346,6 +344,18 @@ def test_huge_finite_cell_exits_two_by_path(tmp_path, capsys, bound):
     assert not (out / "report.json").exists()
 
 
+def test_huge_mass_exits_two(tmp_path, capsys):
+    # the free packet's squared velocity norm underflowed to 0, and
+    # dynamics-checks' closure ratio raised ZeroDivisionError (exit 4)
+    data = {"physics": {"mass": 1e300}}
+    code, out = run(tmp_path, "dynamics-checks", "--config", write_config(tmp_path, data))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: physics.mass") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("data, path", [
     ({"grid": [1, 2]}, "grid"),
     ({"physics": 5}, "physics"),
@@ -377,15 +387,15 @@ def test_non_finite_diffusion_coefficient_exits_two(tmp_path, capsys, diffusion)
     assert not (out / "report.json").exists()
 
 
-def test_born_diffusion_is_pool_size_invariant(monkeypatch):
-    # born-diffusion's ensembles run beside each other on one thread per
-    # available core; one worker and two give the same checks and tables
+def test_born_diffusion_is_pool_size_invariant(affinity):
+    # born-diffusion's ensembles run on cores - 1 executor threads and the
+    # caller; one core and two give the same checks and tables
     cfg = load_config(None, {"walkers": 2000})
     reports = []
     for cores in ({0}, {0, 1}):
-        monkeypatch.setattr(diff.os, "sched_getaffinity", lambda pid, cores=cores: cores)
-        assert diff._pool()._max_workers == len(cores)
+        sizes = affinity(cores)
         reports.append(run_born_diffusion(cfg))
+        assert set(sizes) == {len(cores) - 1}
     one, two = reports
     assert one.to_json() == two.to_json()
     assert one.tables == two.tables
@@ -412,12 +422,12 @@ for _ in range(2):
 """
 
 
-def test_all_starts_at_most_cores_plus_one_threads_once():
-    # one pool and one waiter serve every run: the first `all` in a process
-    # starts the waiter and at most one pool thread per available core, and
-    # a later one starts none.  Two cores at most: the executor starts a
-    # thread only while its others are busy, so short jobs may leave a
-    # larger pool short of its size after one run
+def test_all_starts_at_most_cores_minus_one_threads_once():
+    # one executor serves every run: the first `all` in a process starts at
+    # most one thread per available core but one, since the calling thread
+    # runs the jobs no thread has begun, and a later one starts none.  Two
+    # cores at most: the executor starts a thread only while its others are
+    # busy, so short jobs may leave a larger one short of its size
     src = Path(__file__).resolve().parents[1] / "src"
     cpus = sorted(os.sched_getaffinity(0))
     for cores in (cpus[:1], cpus[:2]):
@@ -425,7 +435,7 @@ def test_all_starts_at_most_cores_plus_one_threads_once():
                               ",".join(map(str, cores))],
                              capture_output=True, text=True, check=True)
         first, second = map(int, out.stdout.split())
-        assert 2 <= first <= len(cores) + 1, cores
+        assert first <= len(cores) - 1, cores
         assert second == 0, cores
 
 
@@ -557,7 +567,7 @@ def _raise(exc):
     return section
 
 
-# solid-com runs on the waiter thread, the others on the calling thread
+# under `all` solid-com runs as a background job, the others on the calling thread
 @pytest.mark.parametrize("failing", ["reconstruct", "solid-com"])
 def test_failing_section_keeps_the_others(tmp_path, monkeypatch, capsys, failing):
     monkeypatch.setitem(SECTIONS, failing, _raise(RuntimeError("boom")))

@@ -1,4 +1,10 @@
+import functools
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,14 +354,16 @@ def test_solid_step_count_must_be_positive():
             solid_com_diffusion(10, 0.5, cfg(n=10), stream(), n_steps=n_steps)
 
 
-def test_solid_blocks_are_thread_count_invariant(monkeypatch):
+def test_solid_blocks_are_thread_count_invariant(affinity):
+    # the blocks run on cores - 1 executor threads and the caller; no core
+    # count changes the estimate
     c, s = cfg(n=20_000), stream(14)
     estimates = []
-    for cores in ({0}, {0, 1}):
-        monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid, cores=cores: cores)
-        assert diffusion._pool()._max_workers == len(cores)
+    for cores in ({0}, {0, 1}, {0, 1, 2}):
+        sizes = affinity(cores)
         estimates.append(solid_com_diffusion(10, 0.5, c, s))
-    assert estimates[0] == estimates[1]
+        assert set(sizes) == {len(cores) - 1}
+    assert estimates[0] == estimates[1] == estimates[2]
 
 
 def test_solid_kick_memory_is_one_buffer_per_block(monkeypatch):
@@ -386,3 +394,99 @@ def test_solid_uneven_walker_blocks(n_walkers):
     # 1001 does not split evenly into the blocks; 3 leaves most blocks empty
     k = solid_com_diffusion(10, 0.5, cfg(n=n_walkers), stream(15))
     assert np.isfinite(k) and k > 0.0
+
+
+# ------------------------------------------------------------- job runner
+
+def _after(seconds, value):
+    def job():
+        time.sleep(seconds)
+        return value
+    return job
+
+
+def _raising(seconds, exc):
+    def job():
+        time.sleep(seconds)
+        raise exc
+    return job
+
+
+def test_start_returns_results_in_submission_order(affinity):
+    affinity({0, 1, 2})
+    # later jobs end first
+    jobs = [_after(0.02 * (5 - i), i) for i in range(6)]
+    assert diffusion._start(jobs)() == list(range(6))
+
+
+def test_start_raises_the_first_exception_in_submission_order(affinity):
+    affinity({0, 1, 2})
+    ended = []
+
+    def last():
+        time.sleep(0.1)
+        ended.append(True)
+    first = ValueError("first")
+    jobs = [_after(0.0, 0), _raising(0.05, first), _raising(0.0, KeyError("second")), last]
+    with pytest.raises(ValueError) as info:
+        diffusion._start(jobs)()
+    assert info.value is first
+    assert ended == [True]   # every job has ended before collect raises
+
+
+# four jobs that each start and collect four jobs of their own, under the
+# cores in argv[2] as the affinity that diffusion._start reads
+_NESTED = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from statelab import diffusion
+cores = {int(c) for c in sys.argv[2].split(",")}
+diffusion.os.sched_getaffinity = lambda pid: cores
+
+def inner(i, j):
+    time.sleep(0.005)
+    return 10 * i + j
+
+def outer(i):
+    return sum(diffusion._start(lambda j=j: inner(i, j) for j in range(4))())
+
+print(diffusion._start(lambda i=i: outer(i) for i in range(4))())
+"""
+
+
+@pytest.mark.parametrize("cores", ["0", "0,1", "0,1,2"])
+def test_start_nested_jobs_finish(cores):
+    # on any thread count a collector runs its unstarted jobs itself, so no
+    # job waits forever on jobs queued behind it.  In a child process with a
+    # timeout, so a deadlock fails the test: deadlocked executor threads
+    # would also hang this interpreter's exit
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _NESTED, str(src), cores],
+                         capture_output=True, text=True, timeout=30, check=True)
+    assert out.stdout.strip() == str([sum(10 * i + j for j in range(4)) for i in range(4)])
+
+
+def test_start_on_one_core_runs_every_job_on_the_caller(affinity):
+    sizes = affinity({0})
+    idents = diffusion._start(threading.get_ident for _ in range(5))()
+    assert sizes == [0]
+    assert idents == [threading.get_ident()] * 5
+
+
+def test_start_runs_each_job_once_under_contention(affinity):
+    # seven threads on fewer cores and a short switch interval: the caller and
+    # the threads race to claim every job, and each must run exactly once
+    affinity(range(8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran = []
+
+            def job(i):
+                ran.append(i)
+                return i
+            assert diffusion._start(functools.partial(job, i) for i in range(50))() == list(range(50))
+            assert sorted(ran) == list(range(50))
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,13 +1,12 @@
-"""statelab's only threads are the workers of its one walker pool, which run
-solid-com's walker blocks and born-diffusion's ensembles, and the waiter,
-on which ``all`` runs solid-com while the other sections run on the caller;
-both live as long as the process.  A dense call large enough for the BLAS
-library to thread wakes its worker threads, which then spin for tens of
-milliseconds on cores the walker blocks need; this test measures that CPU
-on every thread but the caller, the pool's workers and the waiter, which
-are told apart by their executors' thread name prefixes.  Those threads
-spend the sections' own time, so only a thread that statelab did not
-start, such as a BLAS worker, is counted."""
+"""statelab's only threads are those of its one job executor, which run
+born-diffusion's walker ensembles, solid-com's walker blocks and, under
+``all``, the solid-com section; they live as long as the process.  A dense
+call large enough for the BLAS library to thread wakes its worker threads,
+which then spin for tens of milliseconds on cores the walker jobs need;
+this test measures that CPU on every thread but the caller and the
+executor's, which are told apart by their thread name prefix.  Those threads
+spend the sections' own time, so only a thread that statelab did not start,
+such as a BLAS worker, is counted."""
 
 import os
 import threading
@@ -29,10 +28,10 @@ BOUND = 0.02         # s of CPU on other threads per section
 
 def _other_threads_cpu() -> float:
     """utime + stime, in seconds, summed over every thread of this process
-    except the calling one, the walker pool's workers and the waiter."""
-    prefixes = tuple(ex._thread_name_prefix for ex in (diffusion._pool(), diffusion._waiter()))
+    except the calling one and the job executor's."""
     skip = {threading.get_native_id()} | {
-        t.native_id for t in threading.enumerate() if t.name.startswith(prefixes)}
+        t.native_id for t in threading.enumerate()
+        if t.name.startswith(diffusion._THREAD_NAME_PREFIX)}
     ticks = 0
     for task in TASKS.iterdir():
         if int(task.name) in skip:
